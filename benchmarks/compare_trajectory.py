@@ -11,9 +11,7 @@ merely uploaded:
 * **speedup ratios** (``*_speedup``) — machine-independent-ish signals
   (lanes/heap, counting/scan, incremental/rebuild, indexed/scan). A fresh
   ratio below ``tolerance x baseline`` fails: the optimisation a past PR
-  paid for has regressed. Keys listed in ``_SPEEDUP_FLOORS`` additionally
-  hold an *absolute* line (e.g. batched matching must keep clearing 2x
-  over per-event counting regardless of the baseline machine).
+  paid for has regressed.
 * **overhead ratios** (``*_overhead``) — opt-in layers (reliability over
   baseline, durability over reliable) are gated at an *absolute* cap
   (default 1.25x): the layer must stay cheap regardless of what the
@@ -45,14 +43,6 @@ _CONTEXT_KEYS = ("_n_filters", "_in_flight", "_runs", "_sim_events")
 #: so its ceiling only catches blowups; the WAL rides inside that machinery
 #: and must stay cheap.
 _OVERHEAD_CAPS = {"reliability_overhead": 1.6}
-
-#: per-key absolute floors for *_speedup ratios a PR contractually
-#: promised — gated like the overhead caps against an absolute line, not
-#: the baseline machine, on top of the relative tolerance. The batched
-#: matching kernel must keep clearing 2x over per-event counting at the
-#: 2k-filter gate point (its measurement is GC-parked and interleaved, so
-#: the ratio is stable across machines).
-_SPEEDUP_FLOORS = {"matching_batch_speedup": 2.0}
 
 
 def _is_context(key: str) -> bool:
@@ -102,12 +92,7 @@ def compare(baseline: dict, fresh: dict, tolerance: float, strict: bool,
             direction = f"cap {cap:.2f}x"
         else:
             ok = (not gated) or ratio >= tolerance
-            floor = _SPEEDUP_FLOORS.get(key)
-            if gated and floor is not None and f < floor:
-                ok = False
             direction = f"{ratio:5.2f}x"
-            if floor is not None:
-                direction += f", floor {floor:.1f}x"
         marker = " " if ok else "!"
         gate = "gated" if gated else "info "
         lines.append(
@@ -119,12 +104,6 @@ def compare(baseline: dict, fresh: dict, tolerance: float, strict: bool,
                     f"{key} exceeds the absolute cap "
                     f"{_OVERHEAD_CAPS.get(key, overhead_cap)}: "
                     f"fresh {f:.2f} (baseline {b:.2f})"
-                )
-            elif key in _SPEEDUP_FLOORS and f < _SPEEDUP_FLOORS[key]:
-                failures.append(
-                    f"{key} fell below the absolute floor "
-                    f"{_SPEEDUP_FLOORS[key]}: fresh {f:.2f} "
-                    f"(baseline {b:.2f})"
                 )
             else:
                 failures.append(

@@ -8,8 +8,7 @@ PRs rather than anecdotes:
 * **scheduler** — lane vs heap engine throughput on at-scale link traffic
   (:mod:`benchmarks.bench_sim_engine`);
 * **matching** — counting vs scan engine throughput at 2k filters/broker
-  (:mod:`benchmarks.bench_matching_engine`), plus batched vs per-event
-  counting at the same gate point (:mod:`benchmarks.bench_matching_batch`);
+  (:mod:`benchmarks.bench_matching_engine`);
 * **control plane** — routing-state churn: incremental vs rebuild interval
   index at 2k filters, indexed vs scan covering withdrawals, and the
   churn-heaviest fig5a point (conn=1s)
@@ -50,7 +49,6 @@ from benchmarks.bench_control_plane import (  # noqa: E402
     measure_interval_churn,
     measure_withdraw_covering,
 )
-from benchmarks.bench_matching_batch import measure_batch_matching  # noqa: E402
 from benchmarks.bench_matching_engine import (  # noqa: E402
     N_FILTERS,
     build_table,
@@ -77,16 +75,22 @@ def _best_of(n: int, fn, *args) -> float:
     return best
 
 
-def _git_commit() -> str:
-    try:
+def _git_commit(root: Path = Path(__file__).resolve().parent.parent) -> str:
+    """Short ``HEAD`` of ``root``, with ``+dirty`` when tracked files under
+    ``src/`` or ``benchmarks/`` differ from it (the snapshot then measures
+    uncommitted code, not ``HEAD``)."""
+    def git(*args: str) -> str:
         return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent.parent,
-            text=True,
-            stderr=subprocess.DEVNULL,
+            ["git", *args], cwd=root, text=True, stderr=subprocess.DEVNULL
         ).strip()
-    except Exception:  # pragma: no cover - git absent in some envs
+
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no", "--",
+                    "src", "benchmarks")
+    except Exception:  # git absent, or root is not a repository
         return "unknown"
+    return head + "+dirty" if dirty else head
 
 
 def collect(scale: str) -> dict:
@@ -113,16 +117,6 @@ def collect(scale: str) -> dict:
     metrics["matching_scan_events_per_s"] = len(events) / t_scan
     metrics["matching_counting_speedup"] = t_scan / t_counting
     metrics["matching_n_filters"] = float(N_FILTERS)
-
-    # batched matching: the same table/workload resolved through
-    # FilterTable.match_batch in one pass (the broker's same-instant
-    # lane-drain batch at its largest). Paired measurement protocol from
-    # bench_matching_batch — one source of truth with its acceptance test;
-    # the speedup is gated at an absolute >=2x floor by
-    # compare_trajectory.py, the contract this optimisation pays rent on.
-    batch = measure_batch_matching()
-    metrics["matching_batch_events_per_s"] = batch["batch_events_per_s"]
-    metrics["matching_batch_speedup"] = batch["speedup"]
 
     # control plane: routing-state churn (same measurement protocols as the
     # bench_control_plane CI gates — one source of truth)
@@ -229,8 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  matching   counting {m['matching_counting_events_per_s'] / 1e3:.1f}k ev/s"
           f"  scan {m['matching_scan_events_per_s'] / 1e3:.1f}k ev/s"
           f"  ({m['matching_counting_speedup']:.1f}x)")
-    print(f"  batching   batch {m['matching_batch_events_per_s'] / 1e3:.1f}k ev/s"
-          f"  ({m['matching_batch_speedup']:.2f}x vs per-event counting)")
     print(f"  ctrl plane churn {m['control_plane_incremental_ops_per_s'] / 1e3:.1f}k ops/s"
           f" ({m['control_plane_churn_speedup']:.0f}x vs rebuild),"
           f" withdraw {m['control_plane_withdraw_indexed_ops_per_s']:.0f} ops/s"

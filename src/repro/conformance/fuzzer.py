@@ -60,12 +60,11 @@ the new home broker on permanent death), never reconciled away. The
 durable retry path never exhausts, so ``breaker_trips`` stays 0 too.
 
 **Cross-engine identity**: the same scenario re-run with the all-legacy
-engine bundle (heap scheduler × scan matching × covering scans) and with
-the batched data plane (lanes × counting × event batching) must produce a
-byte-identical delivery log, identical delivery/loss/duplicate counters,
-identical per-category wired traffic and the same processed event count.
-The engines are documented as trace-identical; the fuzzer makes that a
-standing randomized gate every future optimisation inherits.
+engine bundle (heap scheduler × scan matching × covering scans) must
+produce a byte-identical delivery log, identical delivery/loss/duplicate
+counters, identical per-category wired traffic and the same processed
+event count. The engines are documented as trace-identical; the fuzzer
+makes that a standing randomized gate every future optimisation inherits.
 
 Replay: every failure line carries the scenario seed;
 ``python -m repro.conformance.fuzzer --scenario-seed N`` reruns exactly
@@ -107,7 +106,7 @@ _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
 class ScenarioOutcome:
     """End-state of one scenario run under one engine bundle."""
 
-    engine_bundle: tuple[str, str, bool, bool]
+    engine_bundle: tuple[str, str, bool]
     published: int
     expected: int
     delivered: int
@@ -145,14 +144,12 @@ def run_scenario(
     sim_engine: str = "lanes",
     matching_engine: str = "counting",
     covering_index: bool = True,
-    event_batching: bool = False,
 ) -> ScenarioOutcome:
     """Run one scenario end-to-end (measurement + drain) and snapshot it."""
     cfg = scenario.config(
         sim_engine=sim_engine,
         matching_engine=matching_engine,
         covering_index=covering_index,
-        event_batching=event_batching,
     )
     system, workload = build_system(cfg)
     system.metrics.delivery.record_log = True
@@ -163,9 +160,7 @@ def run_scenario(
     injector = system.fault_injector
     meter = system.metrics.traffic
     return ScenarioOutcome(
-        engine_bundle=(
-            sim_engine, matching_engine, covering_index, event_batching
-        ),
+        engine_bundle=(sim_engine, matching_engine, covering_index),
         published=stats.published,
         expected=stats.expected,
         delivered=stats.delivered,

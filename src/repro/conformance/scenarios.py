@@ -36,12 +36,11 @@ __all__ = ["Scenario", "PROTOCOLS", "ENGINE_BUNDLES"]
 PROTOCOLS: tuple[str, ...] = ("mhh", "sub-unsub", "home-broker", "two-phase")
 
 #: the engine configurations cross-checked for trace identity: the default
-#: fast path, the all-legacy path, and the batched data plane. Each bundle
-#: is (sim_engine, matching_engine, covering_index, event_batching).
-ENGINE_BUNDLES: tuple[tuple[str, str, bool, bool], ...] = (
-    ("lanes", "counting", True, False),
-    ("heap", "scan", False, False),
-    ("lanes", "counting", True, True),
+#: fast path vs the all-legacy path. Each bundle is
+#: (sim_engine, matching_engine, covering_index).
+ENGINE_BUNDLES: tuple[tuple[str, str, bool], ...] = (
+    ("lanes", "counting", True),
+    ("heap", "scan", False),
 )
 
 _MOBILITY_CHOICES = ("uniform", "hotspot", "ping-pong", "trace")
@@ -291,7 +290,6 @@ class Scenario:
         sim_engine: str = "lanes",
         matching_engine: str = "counting",
         covering_index: bool = True,
-        event_batching: bool = False,
     ) -> ExperimentConfig:
         """The runnable :class:`ExperimentConfig` under one engine bundle."""
         return ExperimentConfig(
@@ -302,7 +300,6 @@ class Scenario:
             sim_engine=sim_engine,
             matching_engine=matching_engine,
             covering_index=covering_index,
-            event_batching=event_batching,
             faults=self.faults if self.faults.active else None,
             crashes=self.crashes if self.crashes.active else None,
             reliable=self.reliable,

@@ -30,17 +30,7 @@ class SimulatedDriver(Driver):
     name = "sim"
 
     def __init__(self, engine: str = "lanes", start_time: float = 0.0) -> None:
-        if engine == "lanes-compiled":
-            # the mypyc-built scheduler: same module compiled, same lanes
-            # engine underneath (raises ConfigurationError when the
-            # extension was never built on this host)
-            from repro.accel import compiled_simulator_class
-
-            self.sim = compiled_simulator_class()(
-                start_time=start_time, engine="lanes"
-            )
-        else:
-            self.sim = Simulator(start_time=start_time, engine=engine)
+        self.sim = Simulator(start_time=start_time, engine=engine)
         #: the Simulator *is* the clock (no adapter layer on the hot path)
         self.clock = self.sim
 

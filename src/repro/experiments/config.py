@@ -48,14 +48,8 @@ class ExperimentConfig:
     covering_index: bool = True
     #: broker matching implementation: 'counting' (default) or 'scan'
     #: (legacy path, kept for differential testing — see
-    #: repro.pubsub.matching); 'counting-compiled' selects the optional
-    #: mypyc build (repro.accel)
+    #: repro.pubsub.matching)
     matching_engine: str = "counting"
-    #: batched event fan-out: drain same-instant wired EventMessage
-    #: arrivals at a broker as one FilterTable.match_batch pass.
-    #: Trace-identical to per-event routing (fuzzer-gated); default off so
-    #: seed digests are untouched
-    event_batching: bool = False
     #: wireless fault profile (None = perfect links; see
     #: repro.network.faults)
     faults: Optional[FaultProfile] = None

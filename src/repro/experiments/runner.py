@@ -46,7 +46,6 @@ def build_system(cfg: ExperimentConfig) -> tuple[PubSubSystem, Workload]:
         queue_cap=cfg.queue_cap,
         durable=cfg.durable,
         wal_dir=cfg.wal_dir,
-        event_batching=cfg.event_batching,
     )
     workload = Workload(system, cfg.workload)
     return system, workload

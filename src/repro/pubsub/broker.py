@@ -77,32 +77,6 @@ class Broker:
         else:
             self.system.protocol.on_control(self, msg, frm)
 
-    def receive_batch(self, items: list[tuple[m.Message, int]]) -> None:
-        """Batched entry point for same-instant wired arrivals.
-
-        Called by the link layer's event-batching path with ``(msg, frm)``
-        pairs in firing order. Consecutive runs of
-        :class:`~repro.pubsub.messages.EventMessage` resolve through
-        :meth:`route_event_batch` (one matching pass for the run); anything
-        else falls back to :meth:`receive` per message, preserving the
-        exact per-message dispatch order.
-        """
-        i = 0
-        n = len(items)
-        while i < n:
-            msg, frm = items[i]
-            if type(msg) is m.EventMessage:
-                j = i + 1
-                while j < n and type(items[j][0]) is m.EventMessage:
-                    j += 1
-                self.route_event_batch(
-                    [(pair[0].event, pair[1]) for pair in items[i:j]]
-                )
-                i = j
-            else:
-                self.receive(msg, frm)
-                i += 1
-
     def _rx_event(self, msg: m.EventMessage, frm: int) -> None:
         self.route_event(msg.event, from_broker=frm)
 
@@ -158,35 +132,6 @@ class Broker:
         protocol = self.system.protocol
         for entry in entries:
             protocol.on_event_for_client(self, entry, event, from_broker)
-
-    def route_event_batch(
-        self, items: list[tuple[Notification, Optional[int]]]
-    ) -> None:
-        """Reverse path forwarding for a batch of same-instant events.
-
-        Matching resolves the whole batch in one
-        :meth:`FilterTable.match_batch` pass; the fan-out then runs in
-        event order, drawing scheduler seqs exactly as the per-event loop
-        would. Matching has no protocol-visible side effects and no
-        ``on_event_for_client`` implementation mutates routing state, so
-        hoisting the matches above the fan-out preserves trace identity
-        with :meth:`route_event` (held to byte identity by the fuzzer's
-        batching lane).
-        """
-        if len(items) == 1:
-            self.route_event(items[0][0], items[0][1])
-            return
-        results = self.table.match_batch(items)
-        net = self.net
-        bid = self.id
-        on_event = self.system.protocol.on_event_for_client
-        for (event, from_broker), (nbrs, entries) in zip(items, results):
-            if nbrs:
-                fwd = m.EventMessage(event)
-                for nbr in nbrs:
-                    net.send_broker(bid, nbr, fwd)
-            for entry in entries:
-                on_event(self, entry, event, from_broker)
 
     def deliver_to_client(self, client: int, event: Notification) -> None:
         """Queue one event on the client's wireless downlink.

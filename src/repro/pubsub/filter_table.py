@@ -68,10 +68,8 @@ from repro.util.ids import QueueId
 
 __all__ = ["ClientEntry", "FilterTable"]
 
-#: valid values for FilterTable(engine=...); "counting-compiled" is the
-#: mypyc-built CountingMatchingEngine (see repro.accel), behaviourally
-#: identical to "counting"
-ENGINE_MODES = ("counting", "scan", "counting-compiled")
+#: valid values for FilterTable(engine=...)
+ENGINE_MODES = ("counting", "scan")
 
 
 class ClientEntry:
@@ -272,16 +270,7 @@ class FilterTable:
         # broker-wide counting engine, kept in sync by every mutator below
         # (None in scan mode). Client-entry insertion order is tracked so
         # engine results replay the scan path's dict-order exactly.
-        if engine == "counting":
-            self._engine: Optional[CountingMatchingEngine] = (
-                CountingMatchingEngine()
-            )
-        elif engine == "counting-compiled":
-            from repro.accel import compiled_matching_engine
-
-            self._engine = compiled_matching_engine()
-        else:
-            self._engine = None
+        self._engine = CountingMatchingEngine() if engine == "counting" else None
         self._client_seq: dict[Hashable, int] = {}
         self._next_seq = count()
         # broker-wide covering index over every withdrawal *candidate*
@@ -507,35 +496,12 @@ class FilterTable:
     def match_batch(
         self, items: list[tuple[Notification, Optional[int]]]
     ) -> list[tuple[list[int], list[ClientEntry]]]:
-        """:meth:`match` for a batch: ``[self.match(e, f) for e, f in items]``.
+        """:meth:`match` for each ``(event, from_broker)`` pair, in order.
 
-        Answer-identical per item (neighbour order, entry order, label
-        handling). With the counting engine the whole batch resolves
-        through one :meth:`CountingMatchingEngine.match_batch` call; scan
-        mode falls back to the per-event path — batching is an engine-path
-        optimisation, the scan lanes exist as the correctness oracle.
+        No broker calls this; it stays as the batch-shaped entry point that
+        ``perfbench/tracing.py`` wraps by name.
         """
-        if self._engine is None:
-            return [self.match(e, f) for e, f in items]
-        results = self._engine.match_batch([e for e, _f in items])
-        clients = self.clients
-        out: list[tuple[list[int], list[ClientEntry]]] = []
-        out_append = out.append
-        for (event, from_broker), (keys, groups) in zip(items, results):
-            entries: list[ClientEntry] = []
-            for key in keys:
-                entry = clients[key]
-                if entry.label is not None and entry.label != from_broker:
-                    continue
-                entries.append(entry)
-            if len(entries) > 1:
-                entries.sort(key=_ENTRY_SEQ)
-            if groups:
-                groups.discard(from_broker)
-                out_append((sorted(groups), entries))
-            else:
-                out_append(([], entries))
-        return out
+        return [self.match(e, f) for e, f in items]
 
     def match_neighbors(
         self, event: Notification, exclude: Optional[int]

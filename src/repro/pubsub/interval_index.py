@@ -338,66 +338,6 @@ class IntervalIndex:
                     out.append(k)
         return out
 
-    def stab_all_xs(self, xs: list, strict: bool) -> list[list[Hashable]]:
-        """:meth:`stab_all` for a vector of raw event values.
-
-        Returns one result list per value, parallel to ``xs``, with the
-        matching engine's numeric guard fused in: non-numeric and NaN
-        values stab nothing, and ``strict`` additionally rejects bools
-        (non-topic ``RangeFilter`` semantics). For values passing the
-        guard the answer is identical to :meth:`stab_all` — element order
-        included. Fusing the guard lets the batched matching path hand the
-        attribute vector over as-is: no pair/tuple building, no masked
-        copy, one set of hoisted bindings for the whole vector.
-        """
-        root = self._tree
-        if root is None:
-            self._tree_removed.clear()
-            self._tree_extra.clear()
-            root = self._tree = _build_tree(
-                [(lo, hi, k) for k, (lo, hi) in self._items.items()]
-            )
-        removed = self._tree_removed
-        extra = self._tree_extra
-        outs: list[list[Hashable]] = [[] for _ in xs]
-        if root is None:
-            return outs
-        for j, x in enumerate(xs):
-            if (
-                not isinstance(x, (int, float))
-                or x != x
-                or (strict and isinstance(x, bool))
-            ):
-                continue
-            out = outs[j]
-            node = root
-            while node is not None and node[7] <= x <= node[8]:
-                center = node[0]
-                if x < center:
-                    if node[5] <= x:
-                        for lo, k in node[3]:
-                            if lo > x:
-                                break
-                            out.append(k)
-                    node = node[1]
-                elif x > center:
-                    if node[6] >= x:
-                        for hi, k in node[4]:
-                            if hi < x:
-                                break
-                            out.append(k)
-                    node = node[2]
-                else:
-                    out.extend(k for _, k in node[3])
-                    break
-            if removed and out:
-                outs[j] = out = [k for k in out if k not in removed]
-            if extra:
-                for k, (lo, hi) in extra.items():
-                    if lo <= x <= hi:
-                        out.append(k)
-        return outs
-
 
 def _build_tree(items: list[tuple[float, float, Hashable]]) -> Optional[tuple]:
     """Centred interval tree over ``(lo, hi, key)`` triples.

@@ -65,7 +65,6 @@ table-sized re-sort.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from itertools import count
 from typing import Any, Hashable, Optional
@@ -247,90 +246,6 @@ class _AttrIndex:
                 if constraint.matches_value(x):
                     out.append(cid)
 
-    def probe_batch(self, xs: list, outs: list) -> None:
-        """:meth:`probe` for a vector of values: ``outs[i]`` receives the
-        cids satisfied by ``xs[i]``.
-
-        Answer-identical (cid order included) to calling ``probe(x, outs[i])``
-        for every non-``None`` ``x``; ``None`` entries are skipped exactly as
-        the per-event path skips absent attributes. Each index section binds
-        its structures once per batch instead of once per event, range stabs
-        hand the raw vector to the interval index (the numeric guard is fused
-        into :meth:`IntervalIndex.stab_all_xs`), and the inequality sections
-        extract the numeric pairs only when such constraints exist.
-        """
-        if not (self.exists or self.eq or self.prefix or self.checks):
-            # purely numeric attribute (the common case: range/inequality
-            # indexes only) — skip the non-None pass; None is not a number
-            live = None
-        else:
-            live = [(i, x) for i, x in enumerate(xs) if x is not None]
-            if not live:
-                return None
-        if self.exists:
-            exists = self.exists
-            for i, _x in live:
-                outs[i].extend(exists)
-        if self.eq:
-            get = self.eq.get
-            for i, x in live:
-                if isinstance(x, float) and x != x:
-                    continue
-                try:
-                    bucket = get(x)
-                except TypeError:  # unhashable event value
-                    bucket = None
-                if bucket:
-                    outs[i].extend(bucket)
-        if self.prefix:
-            get = self.prefix.get
-            max_prefix = self.max_prefix
-            for i, x in live:
-                if isinstance(x, str):
-                    out = outs[i]
-                    for j in range(min(len(x), max_prefix) + 1):
-                        bucket = get(x[:j])
-                        if bucket:
-                            out.extend(bucket)
-        if self.n_loose:
-            for i, hits in enumerate(self.ranges_loose.stab_all_xs(xs, False)):
-                if hits:
-                    outs[i].extend(hits)
-        if self.n_strict:
-            for i, hits in enumerate(self.ranges_strict.stab_all_xs(xs, True)):
-                if hits:
-                    outs[i].extend(hits)
-        if self.lt._items or self.le._items or self.gt._items or self.ge._items:
-            nums = [
-                (i, x)
-                for i, x in (enumerate(xs) if live is None else live)
-                if isinstance(x, (int, float)) and x == x
-            ]
-            if nums:
-                if self.lt._items:
-                    values, cids = self.lt.pairs()
-                    for i, x in nums:
-                        outs[i].extend(cids[bisect_right(values, x):])
-                if self.le._items:
-                    values, cids = self.le.pairs()
-                    for i, x in nums:
-                        outs[i].extend(cids[bisect_left(values, x):])
-                if self.gt._items:
-                    values, cids = self.gt.pairs()
-                    for i, x in nums:
-                        outs[i].extend(cids[:bisect_left(values, x)])
-                if self.ge._items:
-                    values, cids = self.ge.pairs()
-                    for i, x in nums:
-                        outs[i].extend(cids[:bisect_right(values, x)])
-        if self.checks:
-            checks = self.checks
-            for i, x in live:
-                out = outs[i]
-                for cid, constraint in checks.items():
-                    if constraint.matches_value(x):
-                        out.append(cid)
-
 
 # One compiled constraint: (kind, attr, payload). The triple doubles as the
 # cross-filter deduplication key (payload is hashable except for "check"
@@ -437,9 +352,7 @@ class CountingMatchingEngine:
         "_next_cid",
         "_slot_cids", "_always", "_scan", "_needed",
         "_cid_single", "_cid_multi", "_cid_plan", "_cid_key", "_key_cid",
-        "_attrs", "_groups", "_group_slots",
-        "_group_loose", "_group_strict",
-        "_sid_needed", "_sid_counts", "_sid_stamps", "_sid_free", "_epoch",
+        "_attrs", "_groups",
     )
 
     def __init__(self) -> None:
@@ -452,31 +365,14 @@ class CountingMatchingEngine:
         # constraint bookkeeping. Slots with exactly one constraint (the
         # common case: every RangeFilter) match as soon as their cid is
         # satisfied and skip counting entirely; only multi-constraint slots
-        # pay for the per-event count dictionary. _cid_multi maps each cid
-        # to {slot: sid} where sid is the slot's dense counter index in the
-        # flat arrays below.
+        # pay for the per-event count dictionary.
         self._cid_single: dict[int, dict[Hashable, bool]] = {}
-        self._cid_multi: dict[int, dict[Hashable, int]] = {}
+        self._cid_multi: dict[int, dict[Hashable, bool]] = {}
         self._cid_plan: dict[int, _Plan] = {}
         self._cid_key: dict[int, Hashable] = {}
         self._key_cid: dict[Hashable, int] = {}
         self._attrs: dict[str, _AttrIndex] = {}
         self._groups: dict[Hashable, _Group] = {}
-        # group members delegated to the counting pass (non-range filters):
-        # when zero, match_batch skips the _GROUP slot-separation scan
-        self._group_slots = 0
-        # combined per-attribute indexes over every group's range members,
-        # keyed by (group, member_key): the batched path stabs all groups
-        # with one traversal per attribute instead of one pass per group
-        self._group_loose: dict[str, IntervalIndex] = {}
-        self._group_strict: dict[str, IntervalIndex] = {}
-        # flat per-sid satisfied counters for the batched path: reset is an
-        # epoch bump + stamp comparison, never a reallocation (match_batch)
-        self._sid_needed = array("l")
-        self._sid_counts = array("l")
-        self._sid_stamps = array("q")
-        self._sid_free: list[int] = []
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # mutation
@@ -519,13 +415,9 @@ class CountingMatchingEngine:
             cids.append(cid)
         for plan in unkeyed:
             cids.append(self._install(plan))
-        if len(cids) == 1:
-            self._cid_single[cids[0]][slot] = True
-        else:
-            sid = self._alloc_sid(len(cids))
-            multi = self._cid_multi
-            for cid in cids:
-                multi[cid][slot] = sid
+        holders = self._cid_single if len(cids) == 1 else self._cid_multi
+        for cid in cids:
+            holders[cid][slot] = True
         self._slot_cids[slot] = cids
         self._needed[slot] = len(cids)
 
@@ -539,11 +431,7 @@ class CountingMatchingEngine:
         if cids is None:
             return
         del self._needed[slot]
-        if len(cids) == 1:
-            holder_map = self._cid_single
-        else:
-            holder_map = self._cid_multi
-            self._sid_free.append(holder_map[cids[0]][slot])
+        holder_map = self._cid_single if len(cids) == 1 else self._cid_multi
         for cid in cids:
             del holder_map[cid][slot]
             if not self._cid_single[cid] and not self._cid_multi[cid]:
@@ -557,25 +445,6 @@ class CountingMatchingEngine:
                 ai.uninstall(cid, kind, payload)
                 if ai.size == 0:
                     del self._attrs[attr]
-
-    def _alloc_sid(self, needed: int) -> int:
-        """Dense counter index for one multi-constraint slot.
-
-        The flat ``array`` counters used by :meth:`match_batch` are indexed
-        by sid; freed sids are recycled so the arrays stay proportional to
-        the live multi-constraint population. Stale stamps left behind by a
-        previous tenant are harmless: stamps never exceed the current epoch,
-        so the next batch sees the counter as "not yet touched".
-        """
-        free = self._sid_free
-        if free:
-            sid = free.pop()
-            self._sid_needed[sid] = needed
-            return sid
-        self._sid_needed.append(needed)
-        self._sid_counts.append(0)
-        self._sid_stamps.append(0)
-        return len(self._sid_needed) - 1
 
     def _install(self, plan: _Plan) -> int:
         kind, attr, payload = plan
@@ -611,24 +480,17 @@ class CountingMatchingEngine:
         if isinstance(f, RangeFilter):
             if f.attr == "topic":
                 kind, table = "loose", g.ranges_loose
-                combined = self._group_loose
             else:
                 kind, table = "strict", g.ranges_strict
-                combined = self._group_strict
             idx = table.get(f.attr)
             if idx is None:
                 idx = table[f.attr] = IntervalIndex()
             idx.add(key, f.lo, f.hi)
-            cidx = combined.get(f.attr)
-            if cidx is None:
-                cidx = combined[f.attr] = IntervalIndex()
-            cidx.add((group, key), f.lo, f.hi)
             g.member_kind[key] = (kind, f.attr)
         else:
             slot = (_GROUP, group, key)
             self.add(slot, f)
             g.member_kind[key] = ("slot", slot)
-            self._group_slots += 1
 
     def discard_group_member(self, group: Hashable, key: Hashable) -> None:
         """Unregister member ``key`` of ``group`` if present."""
@@ -640,20 +502,12 @@ class CountingMatchingEngine:
             return
         if kind[0] == "slot":
             self.discard(kind[1])
-            self._group_slots -= 1
         else:
-            if kind[0] == "loose":
-                table, combined = g.ranges_loose, self._group_loose
-            else:
-                table, combined = g.ranges_strict, self._group_strict
+            table = g.ranges_loose if kind[0] == "loose" else g.ranges_strict
             idx = table[kind[1]]
             idx.discard(key)
             if not len(idx):
                 del table[kind[1]]
-            cidx = combined[kind[1]]
-            cidx.discard((group, key))
-            if not len(cidx):
-                del combined[kind[1]]
         if not g.member_kind:
             del self._groups[group]
 
@@ -728,127 +582,3 @@ class CountingMatchingEngine:
             if group not in groups and g.stab(event):
                 groups.add(group)
         return out, groups
-
-    def match_batch(
-        self, events: list[Notification]
-    ) -> list[tuple[list[Hashable], set]]:
-        """Vectorized :meth:`match_with_groups` over a batch of events.
-
-        Returns exactly ``[self.match_with_groups(e) for e in events]`` —
-        same slots in the same order, same group sets — but resolves the
-        batch with one pass per indexed attribute instead of one pass per
-        event. Multi-constraint filters are counted in the flat per-sid
-        ``array`` counters: an epoch bump invalidates every counter at once
-        (a stamp older than the current epoch reads as zero), so no
-        per-event dict is allocated and nothing is ever reset by writing.
-        """
-        n = len(events)
-        if n == 0:
-            return []
-        sats: list[list[int]] = [[] for _ in range(n)]
-        xs_cache: dict[str, list] = {}
-        for attr, ai in self._attrs.items():
-            if attr == "topic":
-                xs = [e.topic for e in events]
-            elif attr == "publisher":
-                xs = [e.publisher for e in events]
-            else:
-                xs = [e.get(attr) for e in events]
-            xs_cache[attr] = xs
-            ai.probe_batch(xs, sats)
-        # stab every group's range members with one traversal per attribute
-        # over the combined indexes; ghits[i] lazily becomes the set of
-        # groups whose range members match event i
-        ghits: Optional[list[Optional[set]]] = None
-        if self._groups:
-            ghits = [None] * n
-            for combined, strict in (
-                (self._group_loose, False),
-                (self._group_strict, True),
-            ):
-                for attr, cidx in combined.items():
-                    xs = xs_cache.get(attr)
-                    if xs is None:
-                        if attr == "topic":
-                            xs = [e.topic for e in events]
-                        else:
-                            xs = [e.get(attr) for e in events]
-                        xs_cache[attr] = xs
-                    for i, keys in enumerate(cidx.stab_all_xs(xs, strict)):
-                        if keys:
-                            s = ghits[i]
-                            if s is None:
-                                s = ghits[i] = set()
-                            for gk in keys:
-                                s.add(gk[0])
-        single, multi = self._cid_single, self._cid_multi
-        always = self._always
-        scan = self._scan
-        counts = self._sid_counts
-        stamps = self._sid_stamps
-        needed = self._sid_needed
-        epoch = self._epoch
-        # live multi-constraint slots exist iff some sid is not on the free
-        # list; without them the counting inner loop reduces to extends
-        have_multi = len(needed) > len(self._sid_free)
-        separate = self._group_slots > 0
-        results: list[tuple[list[Hashable], set]] = []
-        results_append = results.append
-        for i in range(n):
-            raw: list[Hashable] = []
-            epoch += 1
-            if have_multi:
-                touched: Optional[list] = None
-                for cid in sats[i]:
-                    s = single[cid]
-                    if s:
-                        raw.extend(s)
-                    mm = multi[cid]
-                    if mm:
-                        if touched is None:
-                            touched = []
-                        for slot, sid in mm.items():
-                            if stamps[sid] == epoch:
-                                counts[sid] += 1
-                            else:
-                                stamps[sid] = epoch
-                                counts[sid] = 1
-                                touched.append((slot, sid))
-                if touched:
-                    # first-touch order == the per-event path's dict
-                    # insertion order, so the emitted slot order is identical
-                    raw.extend(
-                        slot
-                        for slot, sid in touched
-                        if counts[sid] == needed[sid]
-                    )
-            else:
-                for cid in sats[i]:
-                    s = single[cid]
-                    if s:
-                        raw.extend(s)
-            if always:
-                raw.extend(always)
-            if scan:
-                event = events[i]
-                for slot, f in scan.items():
-                    if f.matches(event):
-                        raw.append(slot)
-            if ghits is None:
-                results_append((raw, set()))
-                continue
-            groups = ghits[i]
-            if groups is None:
-                groups = set()
-            if separate:
-                out: list[Hashable] = []
-                for slot in raw:
-                    if type(slot) is tuple and slot and slot[0] is _GROUP:
-                        groups.add(slot[1])
-                    else:
-                        out.append(slot)
-            else:
-                out = raw
-            results_append((out, groups))
-        self._epoch = epoch
-        return results

@@ -95,7 +95,6 @@ class PubSubSystem:
         durable: bool = False,
         wal_dir: Optional[str] = None,
         log_store: Optional["LogStore"] = None,
-        event_batching: bool = False,
     ) -> None:
         if grid_k <= 0 and topology is None:
             raise ConfigurationError(f"grid_k must be >= 1, got {grid_k}")
@@ -120,15 +119,14 @@ class PubSubSystem:
             raise ConfigurationError(
                 f"unicast_routing must be 'grid' or 'tree', got {unicast_routing!r}"
             )
-        if matching_engine not in ("counting", "scan", "counting-compiled"):
+        if matching_engine not in ("counting", "scan"):
             raise ConfigurationError(
-                f"matching_engine must be 'counting', 'scan' or "
-                f"'counting-compiled', got {matching_engine!r}"
+                f"matching_engine must be 'counting' or 'scan', "
+                f"got {matching_engine!r}"
             )
-        if sim_engine not in (*SIM_ENGINES, "lanes-compiled"):
+        if sim_engine not in SIM_ENGINES:
             raise ConfigurationError(
-                f"sim_engine must be one of "
-                f"{(*SIM_ENGINES, 'lanes-compiled')}, got {sim_engine!r}"
+                f"sim_engine must be one of {SIM_ENGINES}, got {sim_engine!r}"
             )
         if driver is None or driver == "sim":
             driver = SimulatedDriver(engine=sim_engine)
@@ -296,20 +294,6 @@ class PubSubSystem:
             broker = Broker(self, bid)
             self.brokers[bid] = broker
             self.net.register_broker(bid, broker.receive)
-
-        #: batched event fan-out: drain same-instant wired EventMessage
-        #: arrivals at a broker through one FilterTable.match_batch pass.
-        #: Trace-identical to per-event delivery (the fuzzer's batching
-        #: lane gates byte identity); default off, so seed digests are
-        #: untouched. No-op under drivers/engines without FIFO lanes.
-        self.event_batching = bool(event_batching)
-        if event_batching:
-            register_batch = getattr(self.net, "register_broker_batch", None)
-            enable = getattr(self.net, "enable_event_batching", None)
-            if register_batch is not None and enable is not None:
-                for bid, broker in self.brokers.items():
-                    register_batch(bid, broker.receive_batch)
-                enable()
 
         self.clients: dict[int, Client] = {}
 

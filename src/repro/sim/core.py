@@ -120,7 +120,6 @@ class Simulator:
         "_lanes",
         "_lane_heads",
         "_use_lanes",
-        "_fifo_batch",
     )
 
     def __init__(self, start_time: float = 0.0, engine: str = "lanes") -> None:
@@ -141,8 +140,6 @@ class Simulator:
         self._lanes: dict[float, deque] = {}
         # aux heap holding (head_time, head_seq, lane) for each non-empty lane
         self._lane_heads: list[tuple[float, int, deque]] = []
-        # callback -> batch handler; see register_fifo_batch
-        self._fifo_batch: dict[Callable[..., Any], Callable[[list], Any]] = {}
 
     # ------------------------------------------------------------------
     # scheduling
@@ -212,32 +209,6 @@ class Simulator:
         lane.append(callback)
         lane.append(args)
 
-    def register_fifo_batch(
-        self,
-        callback: Callable[..., Any],
-        handler: Callable[[list], Any],
-    ) -> None:
-        """Drain same-instant runs of ``callback`` lane events as one batch.
-
-        After registration, whenever the run loop pops a lane event whose
-        callback is ``callback``, it also pops every immediately-following
-        event from the same lane that (a) fires at the same instant, (b)
-        carries the same callback, and (c) precedes the next pending event
-        from any *other* source in global ``(time, seq)`` order — then calls
-        ``handler(args_list)`` once with the argument tuples in firing
-        order. Because the batched events were contiguous in the global
-        order and the handler processes them in sequence, any schedule the
-        handler performs draws seqs exactly as the per-event callbacks
-        would have: traces are identical with batching on or off (the
-        differential battery in ``tests/test_matching_batch.py`` holds this
-        to byte identity).
-
-        On the ``heap`` engine :meth:`schedule_fifo` traffic bypasses the
-        lanes, so registration is a no-op there — per-event delivery, same
-        trace.
-        """
-        self._fifo_batch[callback] = handler
-
     #: sans-IO ``Clock`` facade (:mod:`repro.drivers.base`): the simulator
     #: *is* the simulated driver's clock, with zero adapter indirection —
     #: the aliases bind the same function objects, so the facade path is
@@ -262,7 +233,6 @@ class Simulator:
         lheads = self._lane_heads
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        batch_map = self._fifo_batch
         try:
             while True:
                 # pick the globally smallest (time, seq) across the main
@@ -299,49 +269,6 @@ class Simulator:
                     lane.popleft()  # seq
                     callback = lane.popleft()
                     args = lane.popleft()
-                    if batch_map:
-                        handler = batch_map.get(callback)
-                        if handler is not None:
-                            # batch boundary: the next (time, seq) due from
-                            # any other source — the main heap head or
-                            # another lane's head. The current lane sits at
-                            # lheads[0], so its competitors are the aux
-                            # heap root's children.
-                            if heap:
-                                bt, bs = heap[0][0], heap[0][1]
-                            else:
-                                bt = bs = None
-                            if len(lheads) > 1:
-                                c = lheads[1]
-                                if len(lheads) > 2:
-                                    d = lheads[2]
-                                    if d[0] < c[0] or (
-                                        d[0] == c[0] and d[1] < c[1]
-                                    ):
-                                        c = d
-                                if bt is None or c[0] < bt or (
-                                    c[0] == bt and c[1] < bs
-                                ):
-                                    bt, bs = c[0], c[1]
-                            items = [args]
-                            while (
-                                lane
-                                and lane[0] == time
-                                and lane[2] is callback
-                                and (bt is None or time < bt or lane[1] < bs)
-                            ):
-                                lane.popleft()  # time
-                                lane.popleft()  # seq
-                                lane.popleft()  # callback
-                                items.append(lane.popleft())
-                            if lane:
-                                heapreplace(lheads, (lane[0], lane[1], lane))
-                            else:
-                                heappop(lheads)
-                            self.now = time
-                            self._events_processed += len(items)
-                            handler(items)
-                            continue
                     if lane:
                         heapreplace(lheads, (lane[0], lane[1], lane))
                     else:

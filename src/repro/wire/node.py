@@ -33,6 +33,7 @@ import argparse
 import ast
 import asyncio
 import concurrent.futures
+import logging
 import sys
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
@@ -44,6 +45,8 @@ from repro.wire.codec import decode_control, encode_control
 from repro.wire.framing import FrameDecoder, FrameError, encode_frame
 
 __all__ = ["NodeServer", "main"]
+
+log = logging.getLogger(__name__)
 
 SEND_QUEUE_CAP = 256
 SEND_TIMEOUT_S = 30.0
@@ -234,8 +237,9 @@ class Session:
         """Queue one frame on the live connection, with backpressure.
 
         The kernel thread waits until the frame is accepted by the
-        connection's bounded send queue; a dead or absent connection just
-        leaves the frame in the outbox for the next session resume.
+        connection's bounded send queue; an absent connection, or a send
+        that times out or is cancelled, leaves the frame in the outbox for
+        the next session resume. Any other failure propagates.
         """
         conn = self.conn
         if conn is None:
@@ -243,8 +247,12 @@ class Session:
         fut = asyncio.run_coroutine_threadsafe(conn.send(frame), self.loop)
         try:
             fut.result(timeout=SEND_TIMEOUT_S)
-        except Exception:
-            pass  # outbox keeps the frame; resume will replay it
+        except (concurrent.futures.TimeoutError,
+                concurrent.futures.CancelledError) as exc:
+            # outbox keeps the frame; resume will replay it
+            log.warning("frame send to coordinator %s not completed (%s); "
+                        "left in the outbox for resume",
+                        self.token[:8], type(exc).__name__)
 
     def emit_effect(self, eff: tuple) -> None:
         if self._building:

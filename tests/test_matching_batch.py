@@ -1,37 +1,18 @@
-"""Batched hot path: match_batch parity, lane-drain batching, trace identity.
+"""``FilterTable.match_batch`` answers exactly like a loop of ``match``.
 
-Three layers of evidence that batching is a pure optimisation:
-
-* **kernel parity** — a hypothesis battery asserts
-  :meth:`FilterTable.match_batch` equals a loop of :meth:`FilterTable.match`
-  element-for-element (neighbour order, entry order, MHH label handling)
-  for every engine x covering_index combination, over adversarial filter
-  sets (groups, labels, NaN topics, string/bool attribute values);
-* **scheduler batching** — unit tests pin the lane-drain semantics of
-  :meth:`Simulator.register_fifo_batch`: same-instant same-callback runs
-  coalesce, any interleaved event in global ``(time, seq)`` order is a
-  batch boundary, and the heap engine degrades to per-event delivery with
-  the same effective sequence;
-* **trace identity** — fixed-seed conformance scenarios must produce
-  byte-identical outcomes with the batched data plane on vs off
-  (``ENGINE_BUNDLES[2]`` vs ``ENGINE_BUNDLES[0]``), and — where the
-  optional mypyc build is present — with the compiled engines too.
+``match_batch`` is a plain loop over :meth:`FilterTable.match` kept as the
+batch-shaped entry point that ``perfbench/tracing.py`` wraps by name. These
+tests pin that it stays answer-identical per item (neighbour order, entry
+order, MHH label handling) for every engine x covering_index combination,
+over adversarial filter sets (groups, labels, NaN topics, string/bool
+attribute values) and after filter churn.
 """
 
 from __future__ import annotations
 
-import math
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import compiled_status
-from repro.conformance.fuzzer import compare_outcomes, run_scenario
-from repro.conformance.scenarios import ENGINE_BUNDLES, Scenario
-from repro.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import (
@@ -40,14 +21,12 @@ from repro.pubsub.filters import (
     Op,
     RangeFilter,
 )
-from repro.sim.core import Simulator
-from repro.workload.spec import WorkloadSpec
 
 NEIGHBORS = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
-# kernel parity: match_batch == [match(e, f) for ...] on every engine
+# match_batch == [match(e, f) for ...] on every engine
 # ---------------------------------------------------------------------------
 _attrs = st.sampled_from(("topic", "x", "kind"))
 _bounds = st.tuples(
@@ -137,7 +116,7 @@ def test_match_batch_equals_match_loop(client_filters, broker_filters, items):
 
 
 def test_match_batch_after_churn_matches_loop():
-    """Discard/re-add churn exercises the engine's sid free-list reuse."""
+    """Discard/re-add churn and broker-filter removal keep the answers equal."""
     table = FilterTable(0, NEIGHBORS, engine="counting")
     for i in range(40):
         lo = (i % 10) / 10.0
@@ -163,147 +142,3 @@ def test_match_batch_after_churn_matches_loop():
     assert table.match_batch(items) == [table.match(ev, frm) for ev, frm in items]
 
 
-# ---------------------------------------------------------------------------
-# scheduler: register_fifo_batch lane-drain semantics
-# ---------------------------------------------------------------------------
-def _flatten(log):
-    """Expand batch records to per-item records (the semantic sequence)."""
-    out = []
-    for kind, t, payload in log:
-        if kind == "batch":
-            out.extend(("one", t, item) for item in payload)
-        else:
-            out.append((kind, t, payload))
-    return out
-
-
-def _drive(engine):
-    sim = Simulator(engine=engine)
-    log = []
-
-    def rx(tag):
-        log.append(("one", sim.now, tag))
-
-    def rx_batch(items):
-        log.append(("batch", sim.now, [args[0] for args in items]))
-
-    def other():
-        log.append(("other", sim.now, None))
-
-    sim.register_fifo_batch(rx, rx_batch)
-    sim.schedule_fifo(1.0, rx, "a")
-    sim.schedule_fifo(1.0, rx, "b")
-    sim.schedule(1.0, other)  # global-order boundary inside the instant
-    sim.schedule_fifo(1.0, rx, "c")
-    sim.schedule_fifo(2.0, rx, "d")  # later instant: separate batch
-    sim.run()
-    return log
-
-
-def test_lane_batching_coalesces_and_respects_boundaries():
-    log = _drive("lanes")
-    batches = [payload for kind, _t, payload in log if kind == "batch"]
-    # a+b coalesce; the interleaved heap event fences c off; d is alone
-    assert batches == [["a", "b"], ["c"], ["d"]]
-    assert _flatten(log) == [
-        ("one", 1.0, "a"), ("one", 1.0, "b"), ("other", 1.0, None),
-        ("one", 1.0, "c"), ("one", 2.0, "d"),
-    ]
-
-
-def test_heap_engine_ignores_batch_registration_with_same_sequence():
-    lanes, heap = _drive("lanes"), _drive("heap")
-    assert all(kind != "batch" for kind, _t, _p in heap)
-    assert _flatten(heap) == _flatten(lanes)
-
-
-def test_lane_batching_counts_each_event():
-    sim = Simulator(engine="lanes")
-    seen = []
-    rx = seen.append
-    # the batch handler receives the argument *tuples* in firing order
-    sim.register_fifo_batch(rx, lambda items: seen.extend(a[0] for a in items))
-    for tag in range(5):
-        sim.schedule_fifo(1.0, rx, tag)
-    sim.run()
-    assert seen == [0, 1, 2, 3, 4]
-    assert sim.events_processed == 5  # batching must not hide events
-
-
-# ---------------------------------------------------------------------------
-# system wiring + compiled-engine gating
-# ---------------------------------------------------------------------------
-def _tiny_config(**kw):
-    return ExperimentConfig(
-        protocol="mhh", grid_k=2, seed=3,
-        workload=WorkloadSpec(
-            clients_per_broker=2, mobile_fraction=0.5,
-            mean_connected_s=10.0, mean_disconnected_s=5.0,
-            publish_interval_s=15.0, duration_s=60.0,
-        ),
-        **kw,
-    )
-
-
-def test_event_batching_toggle_wires_the_batch_path():
-    system, _wl = build_system(_tiny_config(event_batching=True))
-    assert system.event_batching
-    # every broker's batch receiver is registered with the link layer and
-    # the pinned delivery callback is registered with the lane scheduler
-    assert set(system.net._broker_rx_batch) == set(system.brokers)
-    clock = system.net.clock
-    assert system.net._deliver_broker in clock._fifo_batch
-    off, _wl = build_system(_tiny_config())
-    assert not off.event_batching
-    assert not off.net._broker_rx_batch
-
-
-def test_compiled_toggles_fail_loudly_when_extension_absent():
-    status = compiled_status()
-    if status["matching"]:
-        pytest.skip("compiled matching extension present")
-    with pytest.raises(ConfigurationError, match="build_compiled"):
-        FilterTable(0, NEIGHBORS, engine="counting-compiled")
-    with pytest.raises(ConfigurationError, match="build_compiled"):
-        build_system(_tiny_config(sim_engine="lanes-compiled"))
-
-
-# ---------------------------------------------------------------------------
-# trace identity: batched data plane on vs off, fixed seeds
-# ---------------------------------------------------------------------------
-def _small_seed(predicate=lambda s: True, start=0):
-    for seed in range(start, start + 5000):
-        s = Scenario.from_seed(seed)
-        if (s.grid_k == 2 and s.clients_per_broker == 3
-                and s.duration_s == 180.0 and predicate(s)):
-            return seed
-    raise AssertionError("no matching scenario seed found")
-
-
-@pytest.mark.parametrize("seed_pick", [
-    ("mhh-faulty", lambda s: s.protocol == "mhh" and s.faults.active),
-    ("sub-unsub", lambda s: s.protocol == "sub-unsub"),
-], ids=lambda p: p[0])
-def test_event_batching_traces_byte_identical(seed_pick):
-    _name, predicate = seed_pick
-    scenario = Scenario.from_seed(_small_seed(predicate))
-    base = run_scenario(scenario, *ENGINE_BUNDLES[0])
-    batched = run_scenario(scenario, *ENGINE_BUNDLES[2])
-    assert ENGINE_BUNDLES[2][3] is True  # the bundle under test batches
-    assert compare_outcomes(base, batched) == []
-    assert base.delivery_log  # the scenario actually delivered traffic
-
-
-@pytest.mark.skipif(
-    not all(compiled_status().values()),
-    reason="mypyc extensions not built (python tools/build_compiled.py)",
-)
-def test_compiled_engines_trace_byte_identical():
-    scenario = Scenario.from_seed(
-        _small_seed(lambda s: s.protocol == "mhh")
-    )
-    base = run_scenario(scenario, *ENGINE_BUNDLES[0])
-    compiled = run_scenario(
-        scenario, "lanes-compiled", "counting-compiled", True, True
-    )
-    assert compare_outcomes(base, compiled) == []

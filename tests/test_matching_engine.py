@@ -4,12 +4,14 @@ The broker-wide :class:`~repro.pubsub.matching.CountingMatchingEngine` must
 be *event-for-event identical* to the per-neighbour scan path — same
 matched neighbours, same matched client entries, in the same order — under
 randomized workloads covering every :class:`~repro.pubsub.filters.Op`
-variant, labelled client entries, table churn, and MHH's direct table
-surgery. Any divergence is a routing bug, so these tests drive both
+variant, adversarial event values (NaN topics and attributes, ``None``,
+strings, bools), labelled client entries, table churn including in-place
+filter replacement, and MHH's direct table surgery. Any divergence is a routing bug, so these tests drive both
 implementations with identical inputs and assert equality after every
 mutation batch.
 """
 
+import math
 import random
 
 import pytest
@@ -73,19 +75,25 @@ def random_event(rng: random.Random, event_id: int) -> Notification:
     attrs = {}
     for attr in ATTRS[1:]:
         roll = rng.random()
-        if roll < 0.35:
+        if roll < 0.3:
             continue  # attribute absent
-        if roll < 0.6:
+        if roll < 0.55:
             attrs[attr] = rng.uniform(-1.5, 1.5)
-        elif roll < 0.75:
+        elif roll < 0.7:
             attrs[attr] = rng.choice(["abc", "abde", "x", "xyzw", ""])
-        elif roll < 0.85:
+        elif roll < 0.8:
             attrs[attr] = rng.randrange(-3, 4)
-        else:
+        elif roll < 0.9:
             attrs[attr] = rng.choice([True, False])
+        elif roll < 0.95:
+            attrs[attr] = math.nan
+        else:
+            attrs[attr] = None  # present but None: matches like absent
+    # NaN topics stab no range and satisfy no comparison
+    topic = math.nan if rng.random() < 0.05 else rng.uniform(-0.1, 1.1)
     return Notification(
         event_id, publisher=0, seq=event_id, publish_time=0.0,
-        topic=rng.uniform(-0.1, 1.1), attrs=attrs,
+        topic=topic, attrs=attrs,
     )
 
 
@@ -119,7 +127,7 @@ def test_differential_random_tables(seed):
     for batch in range(20):
         for _ in range(rng.randrange(1, 6)):
             action = rng.random()
-            if action < 0.4 or not (broker_keys or client_keys):
+            if action < 0.35 or not (broker_keys or client_keys):
                 nbr = rng.choice(NEIGHBORS)
                 key = f"k{next_key}"
                 next_key += 1
@@ -127,7 +135,7 @@ def test_differential_random_tables(seed):
                 counting.add_broker_filter(nbr, key, f)
                 scan.add_broker_filter(nbr, key, f)
                 broker_keys.append((nbr, key))
-            elif action < 0.65:
+            elif action < 0.55:
                 key = ("c", next_key)
                 next_key += 1
                 label = rng.choice([None] + NEIGHBORS)
@@ -135,6 +143,19 @@ def test_differential_random_tables(seed):
                 counting.set_client_entry(ClientEntry(1000 + next_key, key, f, label=label))
                 scan.set_client_entry(ClientEntry(1000 + next_key, key, f, label=label))
                 client_keys.append(key)
+            elif action < 0.65:
+                # replace in place: a new filter (and label) under a live key
+                f = random_filter(rng)
+                if client_keys and (not broker_keys or rng.random() < 0.5):
+                    key = rng.choice(client_keys)
+                    label = rng.choice([None] + NEIGHBORS)
+                    client = counting.get_entry_by_key(key).client
+                    for table in (counting, scan):
+                        table.set_client_entry(ClientEntry(client, key, f, label=label))
+                else:
+                    nbr, key = rng.choice(broker_keys)
+                    counting.add_broker_filter(nbr, key, f)
+                    scan.add_broker_filter(nbr, key, f)
             elif action < 0.85 and broker_keys:
                 nbr, key = broker_keys.pop(rng.randrange(len(broker_keys)))
                 assert counting.remove_broker_filter(nbr, key) \

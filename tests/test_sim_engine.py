@@ -157,6 +157,11 @@ def test_invalid_engine_rejected():
         Simulator(engine="quantum")
     with pytest.raises(ConfigurationError):
         PubSubSystem(grid_k=2, sim_engine="quantum")
+    # the retired compiled-engine names are unknown values like any other
+    with pytest.raises(ConfigurationError):
+        PubSubSystem(grid_k=2, sim_engine="lanes-compiled")
+    with pytest.raises(ConfigurationError):
+        PubSubSystem(grid_k=2, matching_engine="counting-compiled")
 
 
 def test_fifo_run_until_and_pending_and_peek():
