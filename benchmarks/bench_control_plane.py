@@ -10,15 +10,16 @@ measurements track that cost:
   filters: each op removes a filter, installs a replacement, and runs the
   stab + containment queries a propagation step performs. The incremental
   index (bisect insert/delete + local prefix-maxima repair) is compared
-  against the legacy rebuild-per-mutation path
-  (``IntervalIndex(incremental=False)``); ``test_incremental_beats_rebuild_churn``
-  is the CI acceptance gate (≥5x).
+  against the legacy rebuild-per-mutation oracle
+  (:class:`~repro.conformance.oracle.RebuildIntervalIndex`);
+  ``test_incremental_beats_rebuild_churn`` is the CI acceptance gate (≥5x).
 * **withdraw-with-covering** — a real broker network (sub-unsub baseline,
   covering-pruned propagation) with 2 000 subscriptions rooted at one
   broker, churned by unsubscribe/resubscribe cycles whose floods the
-  neighbours process too. Indexed covering (``covering_index=True``:
-  CoveringIndex-backed ``advertised_covers`` + covered-candidate
-  enumeration in ``Broker._withdraw``) against the legacy full-table scans.
+  neighbours process too. Indexed covering (CoveringIndex-backed
+  ``advertised_covers`` + covered-candidate enumeration in
+  ``Broker._withdraw``) on the production system against the legacy
+  full-table scans of :class:`~repro.conformance.oracle.OracleSystem`.
   Both runs must leave byte-identical routing state (asserted).
 * **fig5a conn=1s** — wall time of the churn-heaviest Figure 5 sweep point,
   the end-to-end number the two micro-measurements serve.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import random
 import time
 
+from repro.conformance.oracle import OracleSystem, RebuildIntervalIndex
 from repro.experiments.config import bench_scale
 from repro.experiments.figures import run_fig5
 from repro.pubsub.filters import RangeFilter
@@ -49,7 +51,7 @@ N_WITHDRAW_OPS = 150
 # ---------------------------------------------------------------------------
 def build_index(incremental: bool, n: int = N_FILTERS) -> IntervalIndex:
     rnd = random.Random(7)
-    idx = IntervalIndex(incremental=incremental)
+    idx = IntervalIndex() if incremental else RebuildIntervalIndex()
     for i in range(n):
         lo = rnd.uniform(0.0, 0.999)
         idx.add(i, lo, lo + 2.0 / n)
@@ -111,13 +113,11 @@ def measure_interval_churn(
 # ---------------------------------------------------------------------------
 def build_covering_system(covering_index: bool, n: int = N_FILTERS):
     """A broker network with ``n`` covering-pruned subscriptions rooted at
-    the centre broker, flood fully propagated."""
-    system = PubSubSystem(
-        grid_k=3,
-        protocol="sub-unsub",
-        seed=5,
-        covering_enabled=True,
-        covering_index=covering_index,
+    the centre broker, flood fully propagated (``covering_index=False``
+    builds the oracle system)."""
+    system_class = PubSubSystem if covering_index else OracleSystem
+    system = system_class(
+        grid_k=3, protocol="sub-unsub", seed=5, covering_enabled=True
     )
     broker = system.brokers[4]
     rnd = random.Random(11)
@@ -170,7 +170,7 @@ def measure_withdraw_covering(ops: int = N_WITHDRAW_OPS) -> dict[str, float]:
             for bid, b in system.brokers.items()
         }
     assert states[True] == states[False], (
-        "indexed covering diverged from the legacy scan path"
+        "indexed covering diverged from the oracle's scans"
     )
     return {
         "ops": float(ops),

@@ -1,19 +1,21 @@
-"""Microbenchmark: broker-wide counting engine vs legacy scan matching.
+"""Microbenchmark: broker-wide counting engine vs the scan-matching oracle.
 
-The scan path pays O(#client entries + #general filters) per event; the
+The scan oracle pays O(#client entries + #general filters) per event; the
 counting engine resolves the same event from (attribute, operator) indexes
 in one output-sensitive pass. This bench drives a full
 :class:`~repro.pubsub.filter_table.FilterTable` — the broker hot path's
-exact entry point — under two workloads at ≥1k filters per broker:
+exact entry point — against the oracle's
+:class:`~repro.conformance.oracle.ScanFilterTable` under two workloads at
+≥1k filters per broker:
 
 * ``range``: narrow topic-range client subscriptions (the paper's workload
   shape at production subscriber counts);
 * ``conjunction``: content-based ``ConjunctionFilter`` subscriptions mixing
-  EQ/RANGE/GE/PREFIX constraints (where the scan path is a pure linear
+  EQ/RANGE/GE/PREFIX constraints (where the scan oracle is a pure linear
   evaluation).
 
-Both modes must produce identical match results (asserted); the comparison
-test asserts the counting engine wins at this scale.
+Both tables must produce identical match results (asserted); the
+comparison test asserts the counting engine wins at this scale.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 
 import numpy as np
 
+from repro.conformance.oracle import ScanFilterTable
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import (
@@ -37,9 +40,13 @@ N_EVENTS = 2_000
 NEIGHBORS = [1, 2, 3, 4]
 
 
+#: table class per matching mode: production counting vs the scan oracle
+TABLES = {"counting": FilterTable, "scan": ScanFilterTable}
+
+
 def build_table(mode: str, workload: str, n_filters: int = N_FILTERS) -> FilterTable:
     rng = np.random.default_rng(7)
-    table = FilterTable(0, NEIGHBORS, engine=mode)
+    table = TABLES[mode](0, NEIGHBORS)
     # neighbour side: narrow topic ranges advertised by the 4 peers
     for i in range(N_NEIGHBOR_FILTERS):
         lo = float(rng.uniform(0.0, 0.999))

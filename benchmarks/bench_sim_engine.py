@@ -1,4 +1,4 @@
-"""Microbenchmark: raw scheduler throughput, lanes engine vs heap engine.
+"""Microbenchmark: raw scheduler throughput, lane scheduler vs heap oracle.
 
 The scheduler is the innermost loop of every experiment; this bench tracks
 its event throughput (schedule + fire) and the cost of the process layer on
@@ -18,15 +18,18 @@ Two workload shapes:
   event against the lanes' O(1) deque ops + O(log #lanes) merge, so the
   gap widens with the in-flight population.
 
-``test_lanes_beat_heap_at_scale`` is the acceptance gate: the lanes engine
-must clear 2x heap throughput on the large-population link workload (the
-differential ordering tests live in ``tests/test_sim_engine.py``).
+``test_lanes_beat_heap_at_scale`` is the acceptance gate: the production
+:class:`~repro.sim.core.Simulator` must clear 2x the throughput of the
+heap-only :class:`~repro.conformance.oracle.HeapSimulator` on the
+large-population link workload (the differential ordering tests live in
+``tests/test_sim_engine.py``).
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.conformance.oracle import HeapSimulator
 from repro.sim.core import Simulator
 from repro.sim.process import spawn
 
@@ -79,12 +82,12 @@ def _nop() -> None:
     return None
 
 
-def pump_links(engine: str, n_pending: int, rounds: int) -> int:
+def pump_links(sim_class: type, n_pending: int, rounds: int) -> int:
     """Steady-state link traffic: ``n_pending`` messages in flight at once,
     each round schedules a fresh wave onto the constant link delays and
     drains it. Callbacks are no-ops so the measurement isolates scheduler
     cost (schedule + merge + fire)."""
-    sim = Simulator(engine=engine)
+    sim = sim_class()
     fifo = sim.schedule_fifo
     n_delays = len(LINK_DELAYS)
     total = 0
@@ -108,16 +111,16 @@ def _best_of(n: int, fn, *args) -> float:
 def measure_link_throughput(
     n_pending: int = N_IN_FLIGHT, rounds: int = 4, repeats: int = 3
 ) -> dict[str, float]:
-    """Best-of-``repeats`` link-traffic timing for both engines.
+    """Best-of-``repeats`` link-traffic timing for both schedulers.
 
     The single source of truth for the at-scale measurement protocol: both
     the CI acceptance gate below and ``benchmarks/perf_trajectory.py``'s
     BENCH_core.json artifact call this, so they can never drift apart.
     """
-    pump_links("lanes", 1000, 1)  # warm up allocator/caches outside timing
-    pump_links("heap", 1000, 1)
-    t_lanes = _best_of(repeats, pump_links, "lanes", n_pending, rounds)
-    t_heap = _best_of(repeats, pump_links, "heap", n_pending, rounds)
+    pump_links(Simulator, 1000, 1)  # warm up allocator/caches outside timing
+    pump_links(HeapSimulator, 1000, 1)
+    t_lanes = _best_of(repeats, pump_links, Simulator, n_pending, rounds)
+    t_heap = _best_of(repeats, pump_links, HeapSimulator, n_pending, rounds)
     n_events = rounds * n_pending
     return {
         "events": float(n_events),
@@ -145,14 +148,14 @@ def test_process_layer_throughput(benchmark):
 
 
 def test_link_traffic_throughput_lanes(benchmark):
-    total = benchmark(pump_links, "lanes", N_IN_FLIGHT, 2)
+    total = benchmark(pump_links, Simulator, N_IN_FLIGHT, 2)
     assert total == 2 * N_IN_FLIGHT
     benchmark.extra_info["events"] = total
     benchmark.extra_info["in_flight"] = N_IN_FLIGHT
 
 
 def test_link_traffic_throughput_heap(benchmark):
-    total = benchmark(pump_links, "heap", N_IN_FLIGHT, 2)
+    total = benchmark(pump_links, HeapSimulator, N_IN_FLIGHT, 2)
     assert total == 2 * N_IN_FLIGHT
     benchmark.extra_info["events"] = total
     benchmark.extra_info["in_flight"] = N_IN_FLIGHT

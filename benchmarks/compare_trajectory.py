@@ -8,7 +8,8 @@ merely uploaded:
 
 * **schema / scale / key set** — a fresh snapshot must measure everything
   the baseline measures; a silently dropped metric fails the diff.
-* **speedup ratios** (``*_speedup``) — machine-independent-ish signals
+* **speedup ratios** (``*_speedup``) — machine-independent-ish signals,
+  each production path against its oracle in :mod:`repro.conformance.oracle`
   (lanes/heap, counting/scan, incremental/rebuild, indexed/scan). A fresh
   ratio below ``tolerance x baseline`` fails: the optimisation a past PR
   paid for has regressed.

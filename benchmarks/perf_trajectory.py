@@ -5,12 +5,13 @@ artifact, so every PR leaves a wall-time data point behind and perf
 regressions in the three core hot paths are visible as a trajectory across
 PRs rather than anecdotes:
 
-* **scheduler** — lane vs heap engine throughput on at-scale link traffic
-  (:mod:`benchmarks.bench_sim_engine`);
-* **matching** — counting vs scan engine throughput at 2k filters/broker
+* **scheduler** — lane scheduler vs the heap-only oracle on at-scale link
+  traffic (:mod:`benchmarks.bench_sim_engine`);
+* **matching** — counting engine vs the scan oracle at 2k filters/broker
   (:mod:`benchmarks.bench_matching_engine`);
-* **control plane** — routing-state churn: incremental vs rebuild interval
-  index at 2k filters, indexed vs scan covering withdrawals, and the
+* **control plane** — routing-state churn: incremental vs rebuild-oracle
+  interval index at 2k filters, indexed covering withdrawals vs the oracle
+  system's scans, and the
   churn-heaviest fig5a point (conn=1s)
   (:mod:`benchmarks.bench_control_plane`);
 * **reliability** — wall-time overhead of the end-to-end ACK/retransmit
@@ -97,7 +98,7 @@ def collect(scale: str) -> dict:
     """Run the three core measurements and return the snapshot dict."""
     metrics: dict[str, float] = {}
 
-    # scheduler: at-scale link traffic, both engines (same measurement
+    # scheduler: at-scale link traffic, lanes vs heap oracle (same measurement
     # protocol as the CI acceptance gate — one source of truth)
     link = measure_link_throughput()
     metrics["scheduler_in_flight"] = link["in_flight"]
@@ -105,7 +106,7 @@ def collect(scale: str) -> dict:
     metrics["scheduler_heap_events_per_s"] = link["heap_events_per_s"]
     metrics["scheduler_lanes_speedup"] = link["speedup"]
 
-    # matching: range workload at 2k filters/broker, both engines
+    # matching: range workload at 2k filters/broker, counting vs scan oracle
     events = make_events("range", 500)
     counting = build_table("counting", "range")
     scan = build_table("scan", "range")

@@ -9,9 +9,11 @@ and asserts the per-protocol invariant matrix plus cross-engine trace
 identity. Every scenario derives entirely from one integer seed, so any
 failure replays byte-identically from the seed the fuzzer prints.
 
-See :mod:`repro.conformance.scenarios` for the scenario space and
+See :mod:`repro.conformance.scenarios` for the scenario space,
 :mod:`repro.conformance.fuzzer` for the invariant matrix and the CLI
-(``python -m repro.conformance.fuzzer``).
+(``python -m repro.conformance.fuzzer``), and
+:mod:`repro.conformance.oracle` for the legacy slow paths the production
+hot paths are checked against.
 """
 
 from repro.conformance.scenarios import Scenario

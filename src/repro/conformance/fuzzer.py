@@ -59,12 +59,14 @@ partition must be recovered from the log (replay on restart, handover to
 the new home broker on permanent death), never reconciled away. The
 durable retry path never exhausts, so ``breaker_trips`` stays 0 too.
 
-**Cross-engine identity**: the same scenario re-run with the all-legacy
-engine bundle (heap scheduler × scan matching × covering scans) must
+**Cross-engine identity**: the same scenario re-run on the all-oracle
+system (:class:`~repro.conformance.oracle.OracleSystem`: heap-only
+scheduler, scan matching, scan covering, rebuild interval indexes) must
 produce a byte-identical delivery log, identical delivery/loss/duplicate
 counters, identical per-category wired traffic and the same processed
-event count. The engines are documented as trace-identical; the fuzzer
-makes that a standing randomized gate every future optimisation inherits.
+event count. Production and oracle are documented as trace-identical; the
+fuzzer makes that a standing randomized gate every future optimisation
+inherits. ``--no-cross-engine`` skips the oracle re-run.
 
 Replay: every failure line carries the scenario seed;
 ``python -m repro.conformance.fuzzer --scenario-seed N`` reruns exactly
@@ -80,7 +82,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.conformance.scenarios import ENGINE_BUNDLES, PROTOCOLS, Scenario
+from repro.conformance.oracle import build_oracle_system
+from repro.conformance.scenarios import PROTOCOLS, Scenario
 from repro.experiments.runner import build_system, drain_to_quiescence
 
 __all__ = [
@@ -104,9 +107,11 @@ _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
 
 @dataclass
 class ScenarioOutcome:
-    """End-state of one scenario run under one engine bundle."""
+    """End-state of one scenario run on one implementation."""
 
-    engine_bundle: tuple[str, str, bool]
+    #: which implementation ran: "production", "oracle" (or another
+    #: driver's name when a test builds an outcome by hand)
+    engine_bundle: str
     published: int
     expected: int
     delivered: int
@@ -139,19 +144,15 @@ class ScenarioOutcome:
     delivery_log: tuple[tuple[int, int, float], ...] = ()
 
 
-def run_scenario(
-    scenario: Scenario,
-    sim_engine: str = "lanes",
-    matching_engine: str = "counting",
-    covering_index: bool = True,
-) -> ScenarioOutcome:
-    """Run one scenario end-to-end (measurement + drain) and snapshot it."""
-    cfg = scenario.config(
-        sim_engine=sim_engine,
-        matching_engine=matching_engine,
-        covering_index=covering_index,
-    )
-    system, workload = build_system(cfg)
+def run_scenario(scenario: Scenario, oracle: bool = False) -> ScenarioOutcome:
+    """Run one scenario end-to-end (measurement + drain) and snapshot it.
+
+    ``oracle`` runs it on :class:`~repro.conformance.oracle.OracleSystem`
+    instead of the production system.
+    """
+    cfg = scenario.config()
+    build = build_oracle_system if oracle else build_system
+    system, workload = build(cfg)
     system.metrics.delivery.record_log = True
     system.run(until=cfg.workload.duration_ms)
     workload.stop()
@@ -160,7 +161,7 @@ def run_scenario(
     injector = system.fault_injector
     meter = system.metrics.traffic
     return ScenarioOutcome(
-        engine_bundle=(sim_engine, matching_engine, covering_index),
+        engine_bundle="oracle" if oracle else "production",
         published=stats.published,
         expected=stats.expected,
         delivered=stats.delivered,
@@ -470,8 +471,8 @@ class FuzzReport:
 
 class ScenarioFuzzer:
     """Samples and runs ``n_scenarios`` scenarios derived from one master
-    seed; each scenario also re-runs under the all-legacy engine bundle
-    when ``cross_engine`` is on (the default).
+    seed; each scenario also re-runs on the all-oracle system when
+    ``cross_engine`` is on (the default).
 
     With ``crash_lane`` on, every scenario is the
     :meth:`~repro.conformance.scenarios.Scenario.crash_from_seed` variant —
@@ -516,16 +517,14 @@ class ScenarioFuzzer:
             scenario = Scenario.crash_from_seed(scenario_seed, protocol)
         else:
             scenario = Scenario.from_seed(scenario_seed)
-        primary = run_scenario(scenario, *ENGINE_BUNDLES[0])
+        primary = run_scenario(scenario)
         violations = check_invariants(scenario, primary)
         if self.cross_engine:
-            for bundle in ENGINE_BUNDLES[1:]:
-                alt = run_scenario(scenario, *bundle)
-                violations += [
-                    f"[{'/'.join(map(str, bundle))}] {v}"
-                    for v in check_invariants(scenario, alt)
-                ]
-                violations += compare_outcomes(primary, alt)
+            alt = run_scenario(scenario, oracle=True)
+            violations += [
+                f"[oracle] {v}" for v in check_invariants(scenario, alt)
+            ]
+            violations += compare_outcomes(primary, alt)
         return ScenarioResult(
             scenario_seed,
             scenario.protocol,
@@ -581,8 +580,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="replay exactly one scenario by its seed "
                              "(ignores --scenarios/--master-seed)")
     parser.add_argument("--no-cross-engine", action="store_true",
-                        help="skip the legacy-engine identity re-runs "
-                             "(half the runtime, engine coverage lost)")
+                        help="skip the oracle identity re-run "
+                             "(half the runtime, oracle coverage lost)")
     parser.add_argument("--crash-lane", action="store_true",
                         help="fuzz the broker-failure lane: perfect links "
                              "plus seeded crash/restart/partition schedules, "

@@ -30,18 +30,10 @@ from repro.network.recovery import CrashEvent, CrashPlan
 from repro.network.topology import grid_topology
 from repro.workload.spec import WorkloadSpec
 
-__all__ = ["Scenario", "PROTOCOLS", "ENGINE_BUNDLES"]
+__all__ = ["Scenario", "PROTOCOLS"]
 
 #: every protocol the repo implements as a reproduction target or baseline
 PROTOCOLS: tuple[str, ...] = ("mhh", "sub-unsub", "home-broker", "two-phase")
-
-#: the engine configurations cross-checked for trace identity: the default
-#: fast path vs the all-legacy path. Each bundle is
-#: (sim_engine, matching_engine, covering_index).
-ENGINE_BUNDLES: tuple[tuple[str, str, bool], ...] = (
-    ("lanes", "counting", True),
-    ("heap", "scan", False),
-)
 
 _MOBILITY_CHOICES = ("uniform", "hotspot", "ping-pong", "trace")
 _LOSS_CHOICES = (0.0, 0.0, 0.05, 0.2)
@@ -285,21 +277,13 @@ class Scenario:
             topic_skew=self.topic_skew,
         )
 
-    def config(
-        self,
-        sim_engine: str = "lanes",
-        matching_engine: str = "counting",
-        covering_index: bool = True,
-    ) -> ExperimentConfig:
-        """The runnable :class:`ExperimentConfig` under one engine bundle."""
+    def config(self) -> ExperimentConfig:
+        """The runnable :class:`ExperimentConfig`."""
         return ExperimentConfig(
             protocol=self.protocol,
             grid_k=self.grid_k,
             seed=self.experiment_seed,
             workload=self.workload(),
-            sim_engine=sim_engine,
-            matching_engine=matching_engine,
-            covering_index=covering_index,
             faults=self.faults if self.faults.active else None,
             crashes=self.crashes if self.crashes.active else None,
             reliable=self.reliable,

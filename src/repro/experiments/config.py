@@ -39,17 +39,6 @@ class ExperimentConfig:
     covering_enabled: Optional[bool] = None
     #: hard wall on the drain phase in simulated ms (None = unbounded)
     drain_limit_ms: Optional[float] = None
-    #: scheduler implementation: 'lanes' (default) or 'heap' (legacy,
-    #: kept for differential testing — see repro.sim.core)
-    sim_engine: str = "lanes"
-    #: indexed covering control plane (default) vs the legacy scan-based
-    #: covering checks (kept for differential testing — see
-    #: repro.pubsub.filter_table)
-    covering_index: bool = True
-    #: broker matching implementation: 'counting' (default) or 'scan'
-    #: (legacy path, kept for differential testing — see
-    #: repro.pubsub.matching)
-    matching_engine: str = "counting"
     #: wireless fault profile (None = perfect links; see
     #: repro.network.faults)
     faults: Optional[FaultProfile] = None

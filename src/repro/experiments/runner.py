@@ -28,17 +28,19 @@ from repro.workload.mobility_model import Workload
 __all__ = ["run_experiment", "build_system", "drain_to_quiescence"]
 
 
-def build_system(cfg: ExperimentConfig) -> tuple[PubSubSystem, Workload]:
-    """Construct the system + workload for a config (not yet run)."""
-    system = PubSubSystem(
+def build_system(
+    cfg: ExperimentConfig, system_class: type[PubSubSystem] = PubSubSystem
+) -> tuple[PubSubSystem, Workload]:
+    """Construct the system + workload for a config (not yet run).
+
+    ``system_class`` lets :mod:`repro.conformance.oracle` build its own.
+    """
+    system = system_class(
         grid_k=cfg.grid_k,
         protocol=cfg.protocol,
         seed=cfg.seed,
         covering_enabled=cfg.covering_enabled,
         migration_batch_size=cfg.migration_batch_size,
-        sim_engine=cfg.sim_engine,
-        covering_index=cfg.covering_index,
-        matching_engine=cfg.matching_engine,
         faults=cfg.faults,
         crashes=cfg.crashes,
         reliable=cfg.reliable,

@@ -104,6 +104,10 @@ class _LocalStreamJob:
     One batch leaves per ``stream_pacing_ms``; a ``stop_event_migration``
     cancels the job between batches, leaving the remainder in the queue —
     this is exactly the paper's "Bo stops the event migration" (§4.3).
+
+    The owner stores the job before :meth:`start`: a short queue completes
+    inside ``start`` and may chain into the next queue's job, whose handle
+    a later store would overwrite.
     """
 
     __slots__ = ("protocol", "broker", "client", "ref", "dest", "append_to",
@@ -119,7 +123,10 @@ class _LocalStreamJob:
         self.append_to = append_to
         self.on_complete = on_complete
         self.cancelled = False
-        broker.get_queue(ref).freeze()
+
+    def start(self) -> None:
+        """Freeze the queue and ship the first batch now."""
+        self.broker.get_queue(self.ref).freeze()
         self._step()
 
     def _step(self) -> None:
@@ -712,12 +719,13 @@ class MHHProtocol(MobilityProtocol):
             ref = om.remaining[0]
             om.current = ref
             if ref.broker == broker.id:
-                om.local_job = _LocalStreamJob(
+                job = om.local_job = _LocalStreamJob(
                     self, broker, client, ref, om.dest, None,
                     on_complete=lambda: self._local_queue_done(
                         broker, client, ref
                     ),
                 )
+                job.start()
             else:
                 self.net.unicast(
                     broker.id, ref.broker,

@@ -37,8 +37,8 @@ of ``call_later_fifo`` — so under the simulated driver the whole link
 layer rides the scheduler's O(1) lane fast path: one lane for wired hops,
 one per wireless latency, one per unicast hop count. The scheduler's
 merged ``(time, seq)`` order keeps the FIFO guarantees stated above
-bit-for-bit identical to the heap engine (and every conforming clock must
-preserve the same tie-break, see :mod:`repro.drivers.base`).
+bit-for-bit identical to a heap-only scheduler (and every conforming clock
+must preserve the same tie-break, see :mod:`repro.drivers.base`).
 
 The wireless edge optionally takes a :class:`~repro.network.faults.
 LinkFaultInjector` (loss / duplication / jitter — see that module for the

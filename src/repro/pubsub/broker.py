@@ -22,7 +22,7 @@ from typing import Any, Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
-from repro.pubsub.filter_table import ClientEntry, FilterTable
+from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub.filters import Filter
 from repro.pubsub import messages as m
 from repro.util.ids import QueueRef
@@ -44,11 +44,8 @@ class Broker:
         #: the broker never touches a scheduler or a link model directly
         self.net = system.net
         self.tree = system.tree
-        self.table = FilterTable(
-            broker_id,
-            system.tree.neighbors(broker_id),
-            engine=system.matching_engine,
-            covering_index=system.covering_index,
+        self.table = system.table_class(
+            broker_id, system.tree.neighbors(broker_id)
         )
         # queues hosted here, keyed by broker-local queue id
         self.queues: dict[int, "PersistentQueue"] = {}
@@ -225,13 +222,12 @@ class Broker:
         Re-advertisements are sent *before* the unsubscribe so the
         neighbour's table never has a window with neither filter installed.
 
-        With the covering index (the default) the candidate search asks the
-        table for exactly the entries the withdrawn filter covers
-        (:meth:`FilterTable.covered_candidates`) — anything else provably
-        kept whatever cover it already had — instead of walking every client
-        entry and every other neighbour's filters per withdrawal. Both paths
-        visit candidates in the same order, so they emit identical
-        re-advertisements.
+        The candidate search asks the table for exactly the entries the
+        withdrawn filter covers (:meth:`FilterTable.covered_candidates`) —
+        anything else provably kept whatever cover it already had — instead
+        of walking every client entry and every other neighbour's filters
+        per withdrawal. The oracle table's full walk visits candidates in
+        the same order, so both emit identical re-advertisements.
         """
         table = self.table
         if not table.advertised_count(nbr):
@@ -240,16 +236,10 @@ class Broker:
             return
         resubs: list[tuple[Hashable, Filter]] = []
         if self.system.covering_enabled:
-            withdrawn = (
-                table.advertised_get(nbr, key) if table.covering_index else None
-            )
+            withdrawn = table.advertised_get(nbr, key)
             table.advertised_remove(nbr, key)
-            if withdrawn is not None:
-                candidates = table.covered_candidates(nbr, withdrawn)
-            else:
-                candidates = self._table_filters_excluding(nbr)
             # candidate filters that may have been suppressed by `key`
-            for cand_key, cand_f in candidates:
+            for cand_key, cand_f in table.covered_candidates(nbr, withdrawn):
                 if cand_key == key:
                     continue
                 if table.advertised_has(nbr, cand_key):
@@ -266,20 +256,6 @@ class Broker:
         self.net.send_broker(
             self.id, nbr, m.UnsubscribeMessage(key, category)
         )
-
-    def _table_filters_excluding(self, nbr: int):
-        """All (key, filter) pairs visible from peers other than ``nbr``.
-
-        Fallback candidate scan when the covering index is disabled — fully
-        lazy: no key-list materialization, no per-key lookups, entries are
-        yielded straight off the table's internal order.
-        """
-        for entry in self.table.clients.values():
-            yield (entry.key, entry.filter)
-        for other in self.table.neighbors:
-            if other == nbr:
-                continue
-            yield from self.table.iter_broker_filters(other)
 
     # ------------------------------------------------------------------
     # direct table surgery (MHH subscription migration)

@@ -16,16 +16,15 @@ The table therefore has two parts:
   captures in-transit events into temporary queues during a handoff.
 
 Matching is delegated to a broker-wide
-:class:`~repro.pubsub.matching.CountingMatchingEngine` (the default): every
-broker filter and client entry is registered with the engine as it is
-installed, and :meth:`FilterTable.match` resolves an event against *all* of
-them in a single counting pass, returning matched neighbours and matched
-client entries together. The pre-engine behaviour — per-neighbour
-:class:`~repro.pubsub.interval_index.IntervalIndex` stabbing plus linear
-scans over general filters and client entries — is kept behind
-``engine="scan"`` for differential testing; both paths must agree
-event-for-event (``tests/test_matching_engine.py`` asserts this, including
-the order of matched client entries).
+:class:`~repro.pubsub.matching.CountingMatchingEngine`: every broker filter
+and client entry is registered with the engine as it is installed, and
+:meth:`FilterTable.match` resolves an event against *all* of them in a
+single counting pass, returning matched neighbours and matched client
+entries together. The pre-engine behaviour — per-neighbour stabbing plus
+linear scans over general filters and client entries — is the
+``ScanFilterTable`` correctness oracle in :mod:`repro.conformance.oracle`;
+both must agree event-for-event (``tests/test_matching_engine.py`` asserts
+this, including the order of matched client entries).
 
 The table also tracks what this broker has **advertised** to each neighbour
 (the mirror of the neighbour's broker-filter set for us). Advertisement
@@ -33,20 +32,19 @@ bookkeeping drives covering-based propagation pruning and must be kept
 consistent by MHH's direct table edits; the system-wide mirror invariant is
 asserted in tests.
 
-Control-plane cost is governed by three indexes (all toggleable back to
+Control-plane cost is governed by three indexes (the oracle module keeps
 their scan-based forms for differential testing):
 
 * every per-neighbour range set and the engine's per-attribute indexes sit
   on the *incremental* :class:`~repro.pubsub.interval_index.IntervalIndex`,
   so a handoff's table edit costs O(log n) instead of a full re-sort;
-* with ``covering_index=True`` (default) each advertised set carries a
-  :class:`~repro.pubsub.covering.CoveringIndex` making ``advertised_covers``
-  O(log n), and the table maintains one broker-wide *candidates*
-  CoveringIndex over every client entry and neighbour filter, so
-  :meth:`FilterTable.covered_candidates` enumerates exactly the entries a
-  withdrawn filter could have been suppressing — in the same order the
-  legacy full-table scan would visit them, so both paths emit identical
-  re-advertisements;
+* each advertised set carries a :class:`~repro.pubsub.covering.CoveringIndex`
+  making ``advertised_covers`` O(log n), and the table maintains one
+  broker-wide *candidates* CoveringIndex over every client entry and
+  neighbour filter, so :meth:`FilterTable.covered_candidates` enumerates
+  exactly the entries a withdrawn filter could have been suppressing — in
+  the same order the legacy full-table scan would visit them, so both
+  paths emit identical re-advertisements;
 * a client→entries map makes :meth:`entries_for_client` (every
   connect/handoff, all four protocols) O(entries-of-that-client) instead of
   a scan over every entry on the broker.
@@ -67,9 +65,6 @@ from repro.pubsub.matching import CountingMatchingEngine
 from repro.util.ids import QueueId
 
 __all__ = ["ClientEntry", "FilterTable"]
-
-#: valid values for FilterTable(engine=...)
-ENGINE_MODES = ("counting", "scan")
 
 
 class ClientEntry:
@@ -126,18 +121,14 @@ class _PeerFilters:
     original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
     key with ``(subtable, insertion-seq)`` — the position it occupies in
     :meth:`keys` order — so indexed candidate enumeration can reproduce the
-    legacy scan order exactly. With ``covering_index=True`` the set also
-    carries a :class:`CoveringIndex` answering :meth:`covers` in O(log n)
-    (used for advertised sets, where covering-pruned propagation queries it
-    on every subscribe/withdraw).
+    legacy scan order exactly. A :class:`CoveringIndex` answers
+    :meth:`covers` in O(log n) (queried on advertised sets, by
+    covering-pruned propagation on every subscribe/withdraw).
     """
 
-    __slots__ = (
-        "ranges", "general", "filters", "_seq", "_next_seq", "cov",
-        "_want_cov",
-    )
+    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq", "cov")
 
-    def __init__(self, covering_index: bool = False) -> None:
+    def __init__(self) -> None:
         self.ranges = IntervalIndex()
         self.general: dict[Hashable, Filter] = {}
         self.filters: dict[Hashable, Filter] = {}
@@ -147,7 +138,6 @@ class _PeerFilters:
         # maintained incrementally from then on — non-covering runs (MHH
         # and the default reproduction configs) never query covering, so
         # they never pay for index maintenance
-        self._want_cov = covering_index
         self.cov: Optional[CoveringIndex] = None
 
     def add(self, key: Hashable, f: Filter) -> None:
@@ -184,25 +174,14 @@ class _PeerFilters:
     def __len__(self) -> int:
         return len(self.filters)
 
-    def matches(self, event: Notification) -> bool:
-        if self.ranges.stab(event.topic):
-            return True
-        return any(f.matches(event) for f in self.general.values())
-
     def covers(self, f: Filter) -> bool:
         """Is ``f`` covered by some filter in this set? (conservative)"""
         cov = self.cov
-        if cov is None and self._want_cov:
+        if cov is None:
             cov = self.cov = CoveringIndex()
             for key, installed in self.filters.items():
                 cov.add(key, installed)
-        if cov is not None:
-            return cov.covers(f)
-        rng = f.as_range()
-        if rng is not None and rng[0] == "topic":
-            if self.ranges.contains_interval(rng[1], rng[2]):
-                return True
-        return any(g.covers(f) for g in self.general.values())
+        return cov.covers(f)
 
     def keys(self) -> list[Hashable]:
         return [k for k, _ in self.ranges.items()] + list(self.general)
@@ -225,29 +204,13 @@ class _PeerFilters:
 class FilterTable:
     """The routing state of one broker.
 
-    ``engine`` selects the matching implementation: ``"counting"`` (default)
-    resolves events through one broker-wide
-    :class:`~repro.pubsub.matching.CountingMatchingEngine`; ``"scan"`` keeps
-    the legacy per-neighbour stab + linear-scan path for differential
-    testing. Bookkeeping (keys, advertisement mirror, covering) is identical
-    in both modes.
+    Events resolve through one broker-wide
+    :class:`~repro.pubsub.matching.CountingMatchingEngine` kept in sync by
+    every mutator.
     """
 
-    def __init__(
-        self,
-        broker_id: int,
-        neighbors: Iterable[int],
-        engine: str = "counting",
-        covering_index: bool = True,
-    ) -> None:
-        if engine not in ENGINE_MODES:
-            raise ProtocolError(
-                f"unknown matching engine {engine!r}; expected one of "
-                f"{ENGINE_MODES}"
-            )
+    def __init__(self, broker_id: int, neighbors: Iterable[int]) -> None:
         self.broker_id = broker_id
-        self.engine_mode = engine
-        self.covering_index = covering_index
         self.neighbors = sorted(neighbors)
         # subs received FROM each neighbour ("that side is interested")
         self._from_nbr: dict[int, _PeerFilters] = {
@@ -257,8 +220,7 @@ class FilterTable:
         # only these sets answer covering queries, so only they carry the
         # per-neighbour CoveringIndex
         self._advertised: dict[int, _PeerFilters] = {
-            n: _PeerFilters(covering_index=covering_index)
-            for n in self.neighbors
+            n: _PeerFilters() for n in self.neighbors
         }
         # client entries keyed by subscription key; a client normally has at
         # most one entry per broker, but the sub-unsub baseline can briefly
@@ -267,18 +229,17 @@ class FilterTable:
         # per-client view of `clients` (same entry objects) for O(entries)
         # connect/handoff lookups
         self._by_client: dict[int, dict[Hashable, ClientEntry]] = {}
-        # broker-wide counting engine, kept in sync by every mutator below
-        # (None in scan mode). Client-entry insertion order is tracked so
-        # engine results replay the scan path's dict-order exactly.
-        self._engine = CountingMatchingEngine() if engine == "counting" else None
+        # broker-wide counting engine, kept in sync by every mutator below.
+        # Client-entry insertion order is tracked so engine results replay
+        # the scan oracle's dict-order exactly.
+        self._engine = CountingMatchingEngine()
         self._client_seq: dict[Hashable, int] = {}
         self._next_seq = count()
         # broker-wide covering index over every withdrawal *candidate*
         # (client entries + every neighbour's filters): drives
         # covered_candidates(). Built lazily on the first covering
         # withdrawal and maintained incrementally from then on, so
-        # non-covering runs never pay for it. Always None when the
-        # covering_index toggle is off.
+        # non-covering runs never pay for it.
         self._candidates: Optional[CoveringIndex] = None
 
     # ------------------------------------------------------------------
@@ -286,8 +247,7 @@ class FilterTable:
     # ------------------------------------------------------------------
     def add_broker_filter(self, nbr: int, key: Hashable, f: Filter) -> None:
         self._from_nbr[nbr].add(key, f)
-        if self._engine is not None:
-            self._engine.add_group_member(nbr, key, f)
+        self._engine.add_group_member(nbr, key, f)
         if self._candidates is not None:
             self._candidates.add(("n", nbr, key), f)
 
@@ -295,8 +255,7 @@ class FilterTable:
         """Remove; returns False if the key was absent."""
         removed = self._from_nbr[nbr].remove(key)
         if removed:
-            if self._engine is not None:
-                self._engine.discard_group_member(nbr, key)
+            self._engine.discard_group_member(nbr, key)
             if self._candidates is not None:
                 self._candidates.discard(("n", nbr, key))
         return removed
@@ -304,14 +263,8 @@ class FilterTable:
     def has_broker_filter(self, nbr: int, key: Hashable) -> bool:
         return key in self._from_nbr[nbr]
 
-    def broker_filter_keys(self, nbr: int) -> list[Hashable]:
-        return self._from_nbr[nbr].keys()
-
     def broker_filter_get(self, nbr: int, key: Hashable) -> Optional[Filter]:
         return self._from_nbr[nbr].get(key)
-
-    def broker_filter_count(self, nbr: int) -> int:
-        return len(self._from_nbr[nbr])
 
     def iter_broker_filters(self, nbr: int):
         """Lazy (key, filter) pairs from ``nbr``, in ``keys()`` order."""
@@ -397,8 +350,7 @@ class FilterTable:
             self._drop_client_ref(prev)
         self.clients[entry.key] = entry
         self._by_client.setdefault(entry.client, {})[entry.key] = entry
-        if self._engine is not None:
-            self._engine.add(entry.key, entry.filter)
+        self._engine.add(entry.key, entry.filter)
         if self._candidates is not None:
             self._candidates.add(("c", entry.key), entry.filter)
 
@@ -456,8 +408,7 @@ class FilterTable:
             )
         self._drop_client_ref(entry)
         self._client_seq.pop(key, None)
-        if self._engine is not None:
-            self._engine.discard(key)
+        self._engine.discard(key)
         if self._candidates is not None:
             self._candidates.discard(("c", key))
 
@@ -471,17 +422,10 @@ class FilterTable:
 
         Returns ``(neighbours, client_entries)``: the neighbours (excluding
         ``from_broker``) to forward the event to, and the matching client
-        entries honouring MHH labels. With the counting engine this is one
-        :meth:`CountingMatchingEngine.match_with_groups` call for
-        everything; in scan mode it composes the two legacy loops.
-        Neighbour order is ascending id, client-entry order is insertion
-        order — identical across modes.
+        entries honouring MHH labels, from one
+        :meth:`CountingMatchingEngine.match_with_groups` call. Neighbour
+        order is ascending id, client-entry order is insertion order.
         """
-        if self._engine is None:
-            return (
-                self.match_neighbors(event, exclude=from_broker),
-                self.match_clients(event, from_broker),
-            )
         keys, groups = self._engine.match_with_groups(event)
         entries: list[ClientEntry] = []
         for key in keys:
@@ -507,17 +451,7 @@ class FilterTable:
         self, event: Notification, exclude: Optional[int]
     ) -> list[int]:
         """Neighbours (excluding ``exclude``) with at least one matching filter."""
-        if self._engine is not None:
-            groups = self._engine.match_with_groups(event)[1]
-            groups.discard(exclude)
-            return sorted(groups)
-        out = []
-        for n in self.neighbors:
-            if n == exclude:
-                continue
-            if self._from_nbr[n].matches(event):
-                out.append(n)
-        return out
+        return self.match(event, exclude)[0]
 
     def match_clients(
         self, event: Notification, from_broker: Optional[int]
@@ -528,15 +462,7 @@ class FilterTable:
         labelled neighbouring broker; locally published events
         (``from_broker is None``) never match labelled entries.
         """
-        if self._engine is not None:
-            return self.match(event, from_broker)[1]
-        out = []
-        for entry in self.clients.values():
-            if entry.label is not None and entry.label != from_broker:
-                continue
-            if entry.filter.matches(event):
-                out.append(entry)
-        return out
+        return self.match(event, from_broker)[1]
 
     # ------------------------------------------------------------------
     # introspection for tests

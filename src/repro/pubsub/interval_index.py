@@ -26,11 +26,11 @@ overlay (a tombstone set plus an extras map consulted at query time) and
 the tree is only rebuilt once the overlay outgrows a fraction of the index.
 
 The former rebuild-the-world behaviour — mark dirty on any mutation, re-sort
-on the next query — is kept behind ``IntervalIndex(incremental=False)`` as
-the differential-testing oracle and the benchmark baseline
-(``benchmarks/bench_control_plane.py``); both modes must answer every query
-identically (``tests/test_control_plane.py`` asserts it under randomized
-churn).
+on the next query — lives on as ``RebuildIntervalIndex`` in
+:mod:`repro.conformance.oracle`, the differential-testing oracle and the
+benchmark baseline (``benchmarks/bench_control_plane.py``); both must
+answer every query identically (``tests/test_interval_index.py`` asserts it
+under randomized churn).
 """
 
 from __future__ import annotations
@@ -66,15 +66,14 @@ class IntervalIndex:
     """
 
     __slots__ = (
-        "_items", "_incremental", "_dirty", "_pairs", "_keys",
+        "_items", "_dirty", "_pairs", "_keys",
         "_max1_hi", "_max1_key", "_max2_hi",
         "_tree", "_tree_removed", "_tree_extra",
     )
 
-    def __init__(self, incremental: bool = True) -> None:
+    def __init__(self) -> None:
         self._items: dict[Hashable, tuple[float, float]] = {}
-        self._incremental = incremental
-        self._dirty = True
+        self._dirty = True  # sorted arrays: built on first query, then kept
         self._pairs: list[tuple[float, float]] = []
         self._keys: list[Hashable] = []
         self._max1_hi: list[float] = []
@@ -89,22 +88,17 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     def add(self, key: Hashable, lo: float, hi: float) -> None:
         """Insert or replace interval ``key``."""
-        if self._incremental:
-            if not self._dirty:
-                old = self._items.get(key)
-                if old is not None:
-                    self._remove_sorted(key, old)
-                self._insert_sorted(key, lo, hi)
-            # the stab_all tree is patched through the overlay even while
-            # the boolean arrays are still dirty: consumers that only ever
-            # call stab_all (the counting engine's per-attribute indexes)
-            # must not pay a full tree rebuild per mutation
-            self._items[key] = (lo, hi)
-            self._tree_update(key, (lo, hi))
-            return
+        if not self._dirty:
+            old = self._items.get(key)
+            if old is not None:
+                self._remove_sorted(key, old)
+            self._insert_sorted(key, lo, hi)
+        # the stab_all tree is patched through the overlay even while the
+        # boolean arrays are still dirty: consumers that only ever call
+        # stab_all (the counting engine's per-attribute indexes) must not
+        # pay a full tree rebuild per mutation
         self._items[key] = (lo, hi)
-        self._dirty = True
-        self._tree = None
+        self._tree_update(key, (lo, hi))
 
     def remove(self, key: Hashable) -> None:
         """Remove interval ``key`` (KeyError if absent)."""
@@ -118,13 +112,9 @@ class IntervalIndex:
             self._after_remove(key, iv)
 
     def _after_remove(self, key: Hashable, iv: tuple[float, float]) -> None:
-        if self._incremental:
-            if not self._dirty:
-                self._remove_sorted(key, iv)
-            self._tree_update(key, None)
-            return
-        self._dirty = True
-        self._tree = None
+        if not self._dirty:
+            self._remove_sorted(key, iv)
+        self._tree_update(key, None)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -207,9 +197,8 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         # key is the (lo, hi) pair itself; a C-level itemgetter avoids a
-        # python-level lambda per item. In incremental mode this runs once
-        # (first query after bulk load); afterwards mutations maintain the
-        # arrays in place. In rebuild mode every mutation re-triggers it.
+        # python-level lambda per item. This runs once (first query after
+        # bulk load); afterwards mutations maintain the arrays in place.
         order = sorted(self._items.items(), key=itemgetter(1))
         n = len(order)
         self._keys = [k for k, _iv in order]

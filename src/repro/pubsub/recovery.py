@@ -42,8 +42,8 @@ single synchronous repair round restores a consistent global state:
 2. **re-converge**: bump the generation (invalidating every in-flight
    message and armed protocol timer), rebuild the spanning tree over the
    survivors (:func:`~repro.network.spanning_tree.rebuild_spanning_tree`),
-   and give every live broker a fresh :class:`FilterTable` wired to the new
-   tree neighbours;
+   and give every live broker a fresh filter table wired to the new tree
+   neighbours;
 3. **resync routing state**: for every client (in id order) install a
    canonical offline subscription at its anchor broker via the protocol's
    ``install_recovered`` hook and flood the entry synchronously — replaying
@@ -66,7 +66,6 @@ from repro.network.recovery import CrashPlan
 from repro.network.spanning_tree import rebuild_spanning_tree
 from repro.network.topology import Topology
 from repro.pubsub.events import Notification
-from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.filters import Filter
 from repro.pubsub import messages as m
 
@@ -349,12 +348,7 @@ class RecoveryCoordinator:
             broker.queues.clear()
             broker.pstate.clear()
             broker.tree = tree
-            broker.table = FilterTable(
-                bid,
-                tree.neighbors(bid),
-                engine=system.matching_engine,
-                covering_index=system.covering_index,
-            )
+            broker.table = system.table_class(bid, tree.neighbors(bid))
         protocol.on_repair_reset()
 
         # 3 + 4. resync routing state client by client (id order — the same

@@ -41,8 +41,8 @@ from repro.network.spanning_tree import minimum_spanning_tree
 from repro.network.topology import Topology, grid_topology
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
+from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.filters import Filter
-from repro.sim.core import SIM_ENGINES
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 from repro.util.ids import IdAllocator
@@ -70,6 +70,10 @@ def _protocol_factory(spec: ProtocolSpec) -> Callable[["PubSubSystem"], "Mobilit
 class PubSubSystem:
     """A complete simulated pub/sub deployment."""
 
+    #: per-broker routing-table class (the conformance oracle's subclass
+    #: swaps in the scan table; nothing else overrides it)
+    table_class: type[FilterTable] = FilterTable
+
     def __init__(
         self,
         grid_k: int,
@@ -83,9 +87,6 @@ class PubSubSystem:
         unicast_routing: str = "grid",
         trace: Optional[Union[str, list[str]]] = None,
         topology: Optional[Topology] = None,
-        matching_engine: str = "counting",
-        sim_engine: str = "lanes",
-        covering_index: bool = True,
         faults: Optional[FaultProfile] = None,
         crashes: Optional["CrashPlan"] = None,
         driver: DriverSpec = None,
@@ -119,17 +120,8 @@ class PubSubSystem:
             raise ConfigurationError(
                 f"unicast_routing must be 'grid' or 'tree', got {unicast_routing!r}"
             )
-        if matching_engine not in ("counting", "scan"):
-            raise ConfigurationError(
-                f"matching_engine must be 'counting' or 'scan', "
-                f"got {matching_engine!r}"
-            )
-        if sim_engine not in SIM_ENGINES:
-            raise ConfigurationError(
-                f"sim_engine must be one of {SIM_ENGINES}, got {sim_engine!r}"
-            )
         if driver is None or driver == "sim":
-            driver = SimulatedDriver(engine=sim_engine)
+            driver = SimulatedDriver()
         elif not isinstance(driver, Driver):
             raise ConfigurationError(
                 f"driver must be None, 'sim' or a Driver instance, "
@@ -146,19 +138,6 @@ class PubSubSystem:
         #: None — only `run`/`run_until_quiescent` and the experiment
         #: runner depend on it; the kernel itself never touches it
         self.sim = driver.sim
-        #: broker matching implementation: 'counting' (broker-wide counting
-        #: engine, the default) or 'scan' (legacy per-neighbour scan path,
-        #: kept for differential testing)
-        self.matching_engine = matching_engine
-        #: scheduler implementation: 'lanes' (per-delay FIFO lanes + heap,
-        #: the default) or 'heap' (legacy heap-only engine, kept for
-        #: differential testing)
-        self.sim_engine = sim_engine
-        #: indexed covering (per-neighbour CoveringIndex + broker-wide
-        #: withdrawal-candidate index; the default) vs the legacy scan-based
-        #: covering checks — message-for-message identical, kept toggleable
-        #: for differential testing (tests/test_control_plane.py)
-        self.covering_index = bool(covering_index)
         self.seed = seed
         #: events per queue-migration message (bulk queue transfers)
         self.migration_batch_size = migration_batch_size

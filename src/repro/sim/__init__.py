@@ -16,13 +16,12 @@ A small, fast, deterministic DES kernel purpose-built for this reproduction
   and for the delivery/ordering checkers.
 """
 
-from repro.sim.core import SIM_ENGINES, Simulator, EventHandle
+from repro.sim.core import Simulator, EventHandle
 from repro.sim.process import Process, spawn
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
-    "SIM_ENGINES",
     "Simulator",
     "EventHandle",
     "Process",

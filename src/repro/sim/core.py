@@ -12,7 +12,7 @@ unicast legs). Pushing those through a binary heap pays O(log n) sift cost
 plus a tuple + handle allocation per event for ordering the heap already
 knows: within one constant delay, events depart in ``now`` order, and
 ``now`` never decreases, so arrival order *is* submission order. The
-``lanes`` engine (the default) exploits this:
+scheduler exploits this:
 
 * :meth:`Simulator.schedule_fifo` is the non-cancellable fast path. Each
   distinct delay owns a **lane** — a flat deque of ``time, seq, callback,
@@ -30,7 +30,7 @@ knows: within one constant delay, events depart in ``now`` order, and
 
 Determinism: every event — lane or heap — is stamped with a ``seq`` from one
 shared monotone counter, and execution order is exactly ascending
-``(time, seq)`` under both engines. Two consequences used throughout the
+``(time, seq)``. Two consequences used throughout the
 protocol implementations and their proofs of correctness:
 
 1. Events never fire out of time order.
@@ -38,10 +38,11 @@ protocol implementations and their proofs of correctness:
    scheduled — which, combined with constant per-hop link latencies, gives
    free FIFO semantics on every link (see :mod:`repro.network.links`).
 
-Because the merged order equals the heap-only order, the legacy engine
-(``engine="heap"``, where :meth:`schedule_fifo` degrades to a heap push) is
-event-for-event identical — ``tests/test_sim_engine.py`` proves it with
-differential property tests on randomized mobility scenarios.
+Because the merged order equals the heap-only order, a heap-only scheduler
+is event-for-event identical. That scheduler lives in
+:mod:`repro.conformance.oracle` as the correctness oracle;
+``tests/test_sim_engine.py`` compares the two with differential property
+tests on randomized mobility scenarios.
 
 Cancellation is lazy: :class:`EventHandle.cancel` flags the entry and the
 main loop skips flagged entries on pop, keeping cancel O(1). Lane events are
@@ -54,13 +55,9 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import SchedulingError
 
-__all__ = ["Simulator", "EventHandle", "SIM_ENGINES"]
-
-#: scheduler implementations selectable via ``Simulator(engine=...)`` /
-#: ``PubSubSystem(sim_engine=...)``
-SIM_ENGINES = ("lanes", "heap")
+__all__ = ["Simulator", "EventHandle"]
 
 
 class EventHandle:
@@ -80,12 +77,6 @@ class EventHandle:
         self.cancelled = True
 
 
-#: shared sentinel for heap entries that can never be cancelled (the
-#: ``engine="heap"`` fallback of :meth:`Simulator.schedule_fifo`); avoids a
-#: per-event handle allocation on that path too
-_NEVER_CANCELLED = EventHandle()
-
-
 class Simulator:
     """Deterministic discrete-event scheduler.
 
@@ -93,10 +84,6 @@ class Simulator:
     ----------
     start_time:
         Initial clock value (milliseconds by library convention).
-    engine:
-        ``"lanes"`` (default) routes :meth:`schedule_fifo` through per-delay
-        FIFO lanes; ``"heap"`` is the legacy heap-only engine, kept for
-        differential testing and benchmarking.
 
     Examples
     --------
@@ -116,25 +103,17 @@ class Simulator:
         "now",
         "_running",
         "_events_processed",
-        "engine",
         "_lanes",
         "_lane_heads",
-        "_use_lanes",
     )
 
-    def __init__(self, start_time: float = 0.0, engine: str = "lanes") -> None:
-        if engine not in SIM_ENGINES:
-            raise ConfigurationError(
-                f"sim engine must be one of {SIM_ENGINES}, got {engine!r}"
-            )
+    def __init__(self, start_time: float = 0.0) -> None:
         # Heap entries: (time, seq, handle, callback, args)
         self._heap: list[tuple[float, int, EventHandle, Callable[..., Any], tuple]] = []
         self._seq = 0
         self.now: float = start_time
         self._running = False
         self._events_processed = 0
-        self.engine = engine
-        self._use_lanes = engine == "lanes"
         # delay -> lane; each lane is a flat deque of 4-field runs
         # (time, seq, callback, args) in strictly increasing (time, seq)
         self._lanes: dict[float, deque] = {}
@@ -178,10 +157,9 @@ class Simulator:
         """Non-cancellable fast path for constant-delay FIFO traffic.
 
         Equivalent to :meth:`schedule` (same ``(time, seq)`` firing order,
-        drawn from the same counter) but returns no handle: on the lanes
-        engine the event lands in the per-delay lane in O(1) with no
-        allocation beyond the argument tuple; on the heap engine it degrades
-        to a plain heap push.
+        drawn from the same counter) but returns no handle: the event lands
+        in the per-delay lane in O(1) with no allocation beyond the argument
+        tuple.
 
         Use it for traffic that is never cancelled — link transmissions,
         fan-out deliveries. Anything that may need :meth:`EventHandle.cancel`
@@ -194,11 +172,6 @@ class Simulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        if not self._use_lanes:
-            heapq.heappush(
-                self._heap, (time, seq, _NEVER_CANCELLED, callback, args)
-            )
-            return
         lane = self._lanes.get(delay)
         if lane is None:
             lane = self._lanes[delay] = deque()
@@ -345,6 +318,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<Simulator t={self.now:.3f} engine={self.engine} "
+            f"<Simulator t={self.now:.3f} "
             f"pending={self.pending} processed={self._events_processed}>"
         )

@@ -35,7 +35,6 @@ import asyncio
 import concurrent.futures
 import logging
 import sys
-import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.drivers.base import CancelHandle, Driver, Transport
@@ -217,8 +216,6 @@ class Session:
             seed=config["seed"],
             covering_enabled=config["covering_enabled"],
             migration_batch_size=config["migration_batch_size"],
-            matching_engine=config["matching_engine"],
-            covering_index=config["covering_index"],
             driver=driver,
         )
         system.metrics = NodeMetrics(self)
@@ -308,7 +305,8 @@ class Session:
             self._epoch_updates = []
             self._send(("done", seq, result, epochs))
         except BaseException as exc:
-            traceback.print_exc()
+            log.exception("dispatch %d (%s) failed in session %s",
+                          seq, kind, self.token[:8])
             self._send(("error", f"{type(exc).__name__}: {exc}"))
 
     def _run_kernel(self, now: float, deltas: tuple,
@@ -455,7 +453,7 @@ class Connection:
                 config = ast.literal_eval(blob)
                 session = Session(self.server, token, config, tuple(brokers))
             except Exception as exc:
-                traceback.print_exc()
+                log.exception("replica build failed for session %r", token)
                 await self.send(encode_frame(encode_control(
                     ("error", f"replica build failed: {exc}")
                 )))

@@ -1,7 +1,7 @@
 """Differential tests for the incremental control plane.
 
-Three layers, each checked against its legacy oracle under randomized
-churn:
+Three layers, each checked against its legacy oracle
+(:mod:`repro.conformance.oracle`) under randomized churn:
 
 * the **covering index** (:class:`~repro.pubsub.covering.CoveringIndex`)
   against brute-force ``covers`` scans — both directions, exactly;
@@ -9,9 +9,9 @@ churn:
   enumeration (including its legacy scan *order*), and client-entry index
   against the scanning implementations;
 * **whole systems**: randomized subscribe/unsubscribe/mobility storms run
-  under every combination of matching engine × covering index (× covering
-  on/off) must produce identical routing decisions, identical traffic,
-  identical final tables, and a consistent advertisement mirror.
+  on the production system and the all-oracle system (× covering on/off)
+  must produce identical routing decisions, identical traffic, identical
+  final tables, and a consistent advertisement mirror.
 
 The incremental-vs-rebuild :class:`IntervalIndex` differential lives in
 ``tests/test_interval_index.py`` next to the other interval-index tests.
@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.conformance.oracle import OracleSystem, ScanFilterTable
 from repro.pubsub.covering import CoveringIndex
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import (
@@ -124,10 +125,10 @@ def test_covering_index_differential(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_advertised_covers_indexed_matches_scan(seed):
-    """FilterTable.advertised_covers agrees across covering_index modes."""
+    """FilterTable.advertised_covers agrees with the scan oracle's."""
     rnd = random.Random(100 + seed)
-    indexed = FilterTable(0, NEIGHBORS, covering_index=True)
-    scan = FilterTable(0, NEIGHBORS, covering_index=False)
+    indexed = FilterTable(0, NEIGHBORS)
+    scan = ScanFilterTable(0, NEIGHBORS)
     live: list = []
     for _step in range(200):
         nbr = rnd.choice(NEIGHBORS)
@@ -152,26 +153,19 @@ def test_advertised_covers_indexed_matches_scan(seed):
 # ---------------------------------------------------------------------------
 # withdrawal-candidate enumeration: content AND order vs the legacy scan
 # ---------------------------------------------------------------------------
-def legacy_candidates(table: FilterTable, nbr: int, f):
-    """The pre-index candidate walk: every client entry, then every other
-    neighbour's filters in keys() order — filtered to what ``f`` covers."""
-    out = []
-    for entry in table.clients.values():
-        if f.covers(entry.filter):
-            out.append((entry.key, entry.filter))
-    for other in table.neighbors:
-        if other == nbr:
-            continue
-        for key, cand in table.iter_broker_filters(other):
-            if f.covers(cand):
-                out.append((key, cand))
-    return out
+def legacy_candidates(table: ScanFilterTable, nbr: int, f):
+    """The oracle's full candidate walk, filtered to what ``f`` covers."""
+    return [
+        (key, cand) for key, cand in table.covered_candidates(nbr, f)
+        if f.covers(cand)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_covered_candidates_content_and_order(seed):
     rnd = random.Random(200 + seed)
-    table = FilterTable(0, NEIGHBORS, covering_index=True)
+    table = FilterTable(0, NEIGHBORS)
+    oracle = ScanFilterTable(0, NEIGHBORS)
     broker_keys: list = []
     client_keys: list = []
     next_key = 0
@@ -181,26 +175,30 @@ def test_covered_candidates_content_and_order(seed):
             nbr = rnd.choice(NEIGHBORS)
             key = f"k{next_key}"
             next_key += 1
-            table.add_broker_filter(nbr, key, random_filter(rnd))
+            f = random_filter(rnd)
+            for t in (table, oracle):
+                t.add_broker_filter(nbr, key, f)
             broker_keys.append((nbr, key))
         elif action < 0.6:
             key = ("c", next_key)
             next_key += 1
-            table.set_client_entry(
-                ClientEntry(1000 + next_key, key, random_filter(rnd))
-            )
+            f = random_filter(rnd)
+            for t in (table, oracle):
+                t.set_client_entry(ClientEntry(1000 + next_key, key, f))
             client_keys.append(key)
         elif action < 0.8 and broker_keys:
             nbr, key = broker_keys.pop(rnd.randrange(len(broker_keys)))
             assert table.remove_broker_filter(nbr, key)
+            assert oracle.remove_broker_filter(nbr, key)
         elif client_keys:
             key = client_keys.pop(rnd.randrange(len(client_keys)))
             table.remove_entry_by_key(key)
+            oracle.remove_entry_by_key(key)
         if rnd.random() < 0.4:
             f = random_filter(rnd)
             for nbr in NEIGHBORS:
                 got = table.covered_candidates(nbr, f)
-                want = legacy_candidates(table, nbr, f)
+                want = legacy_candidates(oracle, nbr, f)
                 assert got == want, (nbr, f)
 
 
@@ -247,17 +245,12 @@ def test_filter_lookups_return_installed_objects():
 
 
 # ---------------------------------------------------------------------------
-# whole-system churn storms: every mode combination must agree exactly
+# whole-system churn storms: production and oracle must agree exactly
 # ---------------------------------------------------------------------------
-def run_churn_storm(protocol, covering, engine, covering_index, seed):
+def run_churn_storm(protocol, covering, system_class, seed):
     """One scripted random mobility/publish storm; returns every observable."""
-    system = PubSubSystem(
-        grid_k=3,
-        protocol=protocol,
-        seed=7,
-        covering_enabled=covering,
-        matching_engine=engine,
-        covering_index=covering_index,
+    system = system_class(
+        grid_k=3, protocol=protocol, seed=7, covering_enabled=covering
     )
     rnd = random.Random(seed)
     subs = [
@@ -321,16 +314,10 @@ def run_churn_storm(protocol, covering, engine, covering_index, seed):
      ("home-broker", False)],
 )
 def test_churn_storm_all_modes_agree(protocol, covering):
-    """Randomized churn: engine × covering-index modes are bit-identical."""
-    outcomes = {}
-    for engine in ("counting", "scan"):
-        for covering_index in (True, False):
-            outcomes[(engine, covering_index)] = run_churn_storm(
-                protocol, covering, engine, covering_index, seed=42
-            )
-    baseline = outcomes[("counting", True)]
-    for mode, outcome in outcomes.items():
-        assert outcome == baseline, f"{mode} diverged from (counting, True)"
+    """Randomized churn: production and oracle systems are bit-identical."""
+    baseline = run_churn_storm(protocol, covering, PubSubSystem, seed=42)
+    oracle = run_churn_storm(protocol, covering, OracleSystem, seed=42)
+    assert oracle == baseline
     # the storm must actually have exercised delivery
     assert baseline[0] > 0
 

@@ -31,7 +31,7 @@ from repro.conformance.fuzzer import (
     compare_outcomes,
     run_scenario,
 )
-from repro.conformance.scenarios import ENGINE_BUNDLES, Scenario
+from repro.conformance.scenarios import Scenario
 from repro.drivers.live import run_virtual_scenario
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -161,8 +161,8 @@ def test_durability_lane_batch_passes():
 # ---------------------------------------------------------------------------
 def test_durable_run_identical_across_engines():
     scenario = Scenario.durable_from_seed(41)
-    primary = run_scenario(scenario, *ENGINE_BUNDLES[0])
-    legacy = run_scenario(scenario, *ENGINE_BUNDLES[1])
+    primary = run_scenario(scenario)
+    legacy = run_scenario(scenario, oracle=True)
     assert check_invariants(scenario, primary) == []
     assert compare_outcomes(primary, legacy) == []
 

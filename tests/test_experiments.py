@@ -152,20 +152,6 @@ def test_parallel_sweep_matches_serial():
         assert a.sim_events == b.sim_events
 
 
-def test_covering_index_config_plumbs_through():
-    cfg = ExperimentConfig(protocol="sub-unsub", grid_k=3, seed=4,
-                           workload=FAST, covering_enabled=True)
-    legacy = run_experiment(
-        ExperimentConfig(protocol="sub-unsub", grid_k=3, seed=4,
-                         workload=FAST, covering_enabled=True,
-                         covering_index=False)
-    )
-    indexed = run_experiment(cfg)
-    assert cfg.covering_index is True
-    assert indexed.as_dict() == legacy.as_dict()
-    assert indexed.sim_events == legacy.sim_events
-
-
 def test_format_table_and_series_render():
     rows = run_fig5(
         scale="smoke", protocols=("mhh",), conn_periods_s=(10.0,), seed=2

@@ -1,8 +1,8 @@
 """Unit + property tests for the interval index (stab and containment).
 
-The index maintains its sorted arrays incrementally by default; every test
-here also runs against ``IntervalIndex(incremental=False)`` (the legacy
-rebuild-per-mutation oracle) via the differential tests at the bottom.
+The index maintains its sorted arrays incrementally; the differential
+tests at the bottom check it against ``RebuildIntervalIndex`` (the legacy
+rebuild-per-mutation oracle in :mod:`repro.conformance.oracle`).
 """
 
 import random
@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.oracle import RebuildIntervalIndex
 from repro.pubsub.interval_index import IntervalIndex
 
 
@@ -200,7 +201,7 @@ def test_differential_incremental_vs_rebuild(seed):
     to brute force), after every mutation."""
     rnd = random.Random(seed)
     inc = IntervalIndex()
-    oracle = IntervalIndex(incremental=False)
+    oracle = RebuildIntervalIndex()
     items = {}
     for step in range(400):
         roll = rnd.random()

@@ -3,7 +3,7 @@
 ``match_batch`` is a plain loop over :meth:`FilterTable.match` kept as the
 batch-shaped entry point that ``perfbench/tracing.py`` wraps by name. These
 tests pin that it stays answer-identical per item (neighbour order, entry
-order, MHH label handling) for every engine x covering_index combination,
+order, MHH label handling) on the production table and the scan oracle,
 over adversarial filter sets (groups, labels, NaN topics, string/bool
 attribute values) and after filter churn.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conformance.oracle import ScanFilterTable
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import (
@@ -26,7 +27,7 @@ NEIGHBORS = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
-# match_batch == [match(e, f) for ...] on every engine
+# match_batch == [match(e, f) for ...], and production == oracle
 # ---------------------------------------------------------------------------
 _attrs = st.sampled_from(("topic", "x", "kind"))
 _bounds = st.tuples(
@@ -100,24 +101,23 @@ _events = st.builds(
     ),
 )
 def test_match_batch_equals_match_loop(client_filters, broker_filters, items):
-    for engine in ("counting", "scan"):
-        for covering_index in (False, True):
-            table = FilterTable(
-                0, NEIGHBORS, engine=engine, covering_index=covering_index
-            )
-            for nbr, f in broker_filters:
-                table.add_broker_filter(nbr, ("k", nbr, id(f)), f)
-            for i, (f, label) in enumerate(client_filters):
-                table.set_client_entry(
-                    ClientEntry(i, ("c", i), f, label=label)
-                )
-            expected = [table.match(ev, frm) for ev, frm in items]
-            assert table.match_batch(items) == expected
+    answers = []
+    for table in (FilterTable(0, NEIGHBORS), ScanFilterTable(0, NEIGHBORS)):
+        for nbr, f in broker_filters:
+            table.add_broker_filter(nbr, ("k", nbr, id(f)), f)
+        for i, (f, label) in enumerate(client_filters):
+            table.set_client_entry(ClientEntry(i, ("c", i), f, label=label))
+        expected = [table.match(ev, frm) for ev, frm in items]
+        assert table.match_batch(items) == expected
+        answers.append(
+            [(nbrs, [e.key for e in entries]) for nbrs, entries in expected]
+        )
+    assert answers[0] == answers[1]
 
 
 def test_match_batch_after_churn_matches_loop():
     """Discard/re-add churn and broker-filter removal keep the answers equal."""
-    table = FilterTable(0, NEIGHBORS, engine="counting")
+    table = FilterTable(0, NEIGHBORS)
     for i in range(40):
         lo = (i % 10) / 10.0
         table.set_client_entry(

@@ -1,7 +1,7 @@
-"""Differential tests: counting matching engine vs legacy scan path.
+"""Differential tests: counting matching engine vs the scan oracle.
 
 The broker-wide :class:`~repro.pubsub.matching.CountingMatchingEngine` must
-be *event-for-event identical* to the per-neighbour scan path — same
+be *event-for-event identical* to the per-neighbour scan oracle — same
 matched neighbours, same matched client entries, in the same order — under
 randomized workloads covering every :class:`~repro.pubsub.filters.Op`
 variant, adversarial event values (NaN topics and attributes, ``None``,
@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.conformance.oracle import OracleSystem, ScanFilterTable
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import (
@@ -119,8 +120,8 @@ def assert_tables_agree(counting, scan, rng, n_events, event_base):
 def test_differential_random_tables(seed):
     """Counting and scan agree across random table churn + events."""
     rng = random.Random(seed)
-    counting = FilterTable(0, NEIGHBORS, engine="counting")
-    scan = FilterTable(0, NEIGHBORS, engine="scan")
+    counting = FilterTable(0, NEIGHBORS)
+    scan = ScanFilterTable(0, NEIGHBORS)
     broker_keys: list[tuple[int, str]] = []
     client_keys: list = []
     next_key = 0
@@ -176,8 +177,8 @@ def test_differential_mhh_style_surgery(seed):
     client-entry replacement, interleaved with matching.
     """
     rng = random.Random(1000 + seed)
-    counting = FilterTable(0, NEIGHBORS, engine="counting")
-    scan = FilterTable(0, NEIGHBORS, engine="scan")
+    counting = FilterTable(0, NEIGHBORS)
+    scan = ScanFilterTable(0, NEIGHBORS)
     f = RangeFilter(0.1, 0.8)
     key = ("sub", 7)
     for table in (counting, scan):
@@ -205,12 +206,11 @@ def test_differential_mhh_style_surgery(seed):
 
 @pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
 def test_differential_end_to_end_sim(protocol):
-    """Whole-system determinism: both engines produce identical outcomes."""
+    """Whole-system determinism: production and oracle systems produce
+    identical outcomes."""
     results = {}
-    for mode in ("counting", "scan"):
-        system = PubSubSystem(
-            grid_k=3, protocol=protocol, seed=11, matching_engine=mode
-        )
+    for system_class in (PubSubSystem, OracleSystem):
+        system = system_class(grid_k=3, protocol=protocol, seed=11)
         sub = system.add_client(RangeFilter(0.0, 0.6), broker=0, mobile=True)
         pub = system.add_client(RangeFilter(2.0, 2.0), broker=8)
         sub.connect(0)
@@ -226,14 +226,14 @@ def test_differential_end_to_end_sim(protocol):
         sub.connect(4)
         system.sim.run()
         stats = system.metrics.delivery.stats
-        results[mode] = (
+        results[system_class] = (
             stats.delivered,
             stats.duplicates,
             stats.order_violations,
             stats.missing,
             system.metrics.traffic.overhead_hops(),
         )
-    assert results["counting"] == results["scan"]
+    assert results[PubSubSystem] == results[OracleSystem]
 
 
 # ---------------------------------------------------------------------------

@@ -302,3 +302,23 @@ def test_concurrent_clients_do_not_interfere():
     assert_clean(system)
     assert system.metrics.delivery.stats.delivered == 6 * 8
     assert system.metrics.handoffs.handoff_count == 8
+
+
+def test_short_local_queue_completing_on_start_keeps_the_live_handle():
+    """A one-batch local queue completes inside its job's first step and
+    chains into the next queue's job; the stored stop handle must be the
+    live job's, or a §4.3 stop cancels the finished one and the live job
+    later completes with no out-migration to report to."""
+    from repro.conformance.fuzzer import check_invariants, run_scenario
+    from repro.conformance.scenarios import Scenario
+
+    scenario = Scenario(
+        scenario_seed=0, protocol="mhh", grid_k=4, experiment_seed=802020,
+        clients_per_broker=6, mobile_fraction=0.5, mean_connected_s=10.0,
+        mean_disconnected_s=5.0, publish_interval_s=5.0, duration_s=90.0,
+        mobility_model="uniform",
+    )
+    outcome = run_scenario(scenario)
+    assert check_invariants(scenario, outcome) == []
+    assert outcome.missing == 0 and outcome.order_violations == 0
+    assert outcome.handoffs > 0

@@ -26,6 +26,7 @@ import random
 
 import pytest
 
+from repro.conformance.oracle import build_oracle_system
 from repro.conformance.scenarios import Scenario
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
@@ -62,8 +63,8 @@ def _crash_config(protocol: str, plan: CrashPlan, **overrides) -> ExperimentConf
     return ExperimentConfig(**kwargs)
 
 
-def _run(cfg: ExperimentConfig) -> PubSubSystem:
-    system, workload = build_system(cfg)
+def _run(cfg: ExperimentConfig, build=build_system) -> PubSubSystem:
+    system, workload = build(cfg)
     system.metrics.delivery.record_log = True
     system.run(until=cfg.workload.duration_ms)
     workload.stop()
@@ -364,15 +365,15 @@ def test_resynced_routing_state_equals_from_scratch_rebuild():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_crash_scenarios_are_engine_bundle_identical(protocol):
     """The control-plane pattern at whole-system scale: a crash scenario
-    replayed under the all-legacy engine bundle must land in the identical
-    final state — delivery log, tree, and every surviving table."""
+    replayed on the all-oracle system must land in the identical final
+    state — delivery log, tree, and every surviving table."""
     plan = _plan(
         CrashEvent("crash", 30_000.0, broker=7),
         CrashEvent("restart", 70_000.0, broker=7),
     )
 
-    def state(cfg):
-        system = _run(cfg)
+    def state(build):
+        system = _run(_crash_config(protocol, plan), build)
         tables = {
             bid: (
                 broker.table.snapshot_broker_filters(),
@@ -388,16 +389,8 @@ def test_crash_scenarios_are_engine_bundle_identical(protocol):
             system.metrics.delivery.stats.crash_lost,
         )
 
-    fast = state(_crash_config(protocol, plan))
-    legacy = state(
-        _crash_config(
-            protocol,
-            plan,
-            sim_engine="heap",
-            matching_engine="scan",
-            covering_index=False,
-        )
-    )
+    fast = state(build_system)
+    legacy = state(build_oracle_system)
     assert fast == legacy
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.conformance.oracle import HeapSimulator
 from repro.errors import SchedulingError
 from repro.sim.core import Simulator
 
@@ -174,13 +175,13 @@ def test_schedule_fifo_counts_and_introspects():
 
 
 def test_schedule_fifo_on_heap_engine_is_equivalent():
-    sim = Simulator(engine="heap")
+    sim = HeapSimulator()
     fired = []
     sim.schedule_fifo(10.0, fired.append, "lane-style")
     sim.schedule(5.0, fired.append, "timer")
     sim.run()
     assert fired == ["timer", "lane-style"]
-    assert sim.engine == "heap"
+    assert not sim._lanes and not sim._lane_heads
 
 
 def test_peek_with_lane_ahead_of_cancelled_heap_event():

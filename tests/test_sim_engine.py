@@ -1,18 +1,21 @@
-"""Differential tests: lane-based scheduler vs legacy heap-only engine.
+"""Differential tests: lane-based scheduler vs the heap-only oracle.
 
-The ``lanes`` engine must be *event-for-event identical* to the ``heap``
-engine — same callbacks, same firing order, same clock readings — because
-every FIFO-link correctness argument in the protocol layer rests on the
+The production :class:`~repro.sim.core.Simulator` must be
+*event-for-event identical* to :class:`~repro.conformance.oracle.HeapSimulator`
+— same callbacks, same firing order, same clock readings — because every
+FIFO-link correctness argument in the protocol layer rests on the
 scheduler's deterministic ``(time, seq)`` order. These tests drive both
-engines with identical inputs at three levels:
+schedulers with identical inputs at three levels:
 
 1. raw scheduler: randomized interleavings of ``schedule`` /
    ``schedule_fifo`` / cancellation, including nested scheduling from
    inside callbacks and ``run(until=...)`` windowing;
 2. whole-system: randomized MHH / sub-unsub / home-broker / two-phase
-   mobility scenarios with full tracing — the trace must be byte-identical;
-3. experiment harness: a complete ``run_experiment`` per engine — the
-   ResultRow metrics must match exactly (modulo wall-clock time).
+   mobility scenarios with full tracing on either scheduler — the trace
+   must be byte-identical;
+3. experiment harness: a complete ``run_experiment`` on the production and
+   the all-oracle system — the ResultRow metrics must match exactly
+   (modulo wall-clock time).
 """
 
 from __future__ import annotations
@@ -21,13 +24,26 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
+import dataclasses
+
+from repro.conformance.oracle import (
+    HeapDriver,
+    HeapSimulator,
+    build_oracle_system,
+)
+from repro.errors import SchedulingError
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.filters import RangeFilter
+from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.system import PubSubSystem
-from repro.sim.core import SIM_ENGINES, Simulator
+from repro.sim.core import Simulator
 from repro.workload.spec import WorkloadSpec
+
+#: production scheduler first, oracle second
+SCHEDULERS = (Simulator, HeapSimulator)
 
 # a realistic delay mix: zero-delay deferrals, wired hops, wireless slots,
 # multi-hop unicast legs, and irregular timer-style delays
@@ -37,14 +53,14 @@ LANE_DELAYS = (0.0, 10.0, 10.0, 20.0, 30.0, 50.0)
 # ---------------------------------------------------------------------------
 # level 1: raw scheduler interleavings
 # ---------------------------------------------------------------------------
-def pump_random(engine: str, seed: int, n_ops: int = 600):
-    """Drive one engine through a randomized schedule/cancel workload.
+def pump_random(sim_class: type, seed: int, n_ops: int = 600):
+    """Drive one scheduler through a randomized schedule/cancel workload.
 
-    All randomness is drawn in callback-firing order, so two engines
+    All randomness is drawn in callback-firing order, so two schedulers
     produce identical logs iff they fire events identically.
     """
     rng = random.Random(seed)
-    sim = Simulator(engine=engine)
+    sim = sim_class()
     log: list[tuple[float, int]] = []
     handles: list = []
     ops = 0
@@ -79,18 +95,18 @@ def pump_random(engine: str, seed: int, n_ops: int = 600):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_differential_random_interleavings(seed):
-    lanes = pump_random("lanes", seed)
-    heap = pump_random("heap", seed)
+    lanes = pump_random(Simulator, seed)
+    heap = pump_random(HeapSimulator, seed)
     assert lanes == heap
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_differential_windowed_run(seed):
-    """run(until=...) windows cut both engines at the same instants."""
+    """run(until=...) windows cut both schedulers at the same instants."""
     logs = {}
-    for engine in SIM_ENGINES:
+    for sim_class in SCHEDULERS:
         rng = random.Random(seed)
-        sim = Simulator(engine=engine)
+        sim = sim_class()
         log: list[tuple[float, int]] = []
 
         def tick(tag, depth):
@@ -106,8 +122,8 @@ def test_differential_windowed_run(seed):
             t += rng.uniform(1.0, 40.0)
             sim.run(until=t)
             log.append((sim.now, 0))  # clock checkpoints must agree too
-        logs[engine] = log
-    assert logs["lanes"] == logs["heap"]
+        logs[sim_class] = log
+    assert logs[Simulator] == logs[HeapSimulator]
 
 
 def test_fifo_same_delay_preserves_submission_order():
@@ -146,22 +162,31 @@ def test_fifo_zero_delay_defers_within_instant():
 
 
 def test_fifo_negative_delay_rejected():
-    for engine in SIM_ENGINES:
-        sim = Simulator(engine=engine)
+    for sim_class in SCHEDULERS:
+        sim = sim_class()
         with pytest.raises(SchedulingError):
             sim.schedule_fifo(-0.1, lambda: None)
 
 
 def test_invalid_engine_rejected():
-    with pytest.raises(ConfigurationError):
-        Simulator(engine="quantum")
-    with pytest.raises(ConfigurationError):
-        PubSubSystem(grid_k=2, sim_engine="quantum")
-    # the retired compiled-engine names are unknown values like any other
-    with pytest.raises(ConfigurationError):
-        PubSubSystem(grid_k=2, sim_engine="lanes-compiled")
-    with pytest.raises(ConfigurationError):
-        PubSubSystem(grid_k=2, matching_engine="counting-compiled")
+    """No production constructor or config accepts an engine choice: the
+    oracle is reachable only through repro.conformance.oracle."""
+    with pytest.raises(TypeError):
+        Simulator(engine="heap")
+    for knob, value in (
+        ("sim_engine", "heap"),
+        ("matching_engine", "scan"),
+        ("covering_index", False),
+    ):
+        with pytest.raises(TypeError):
+            PubSubSystem(grid_k=2, **{knob: value})
+        assert knob not in {
+            f.name for f in dataclasses.fields(ExperimentConfig)
+        }
+    with pytest.raises(TypeError):
+        FilterTable(0, [1], engine="scan")
+    with pytest.raises(TypeError):
+        IntervalIndex(incremental=False)
 
 
 def test_fifo_run_until_and_pending_and_peek():
@@ -192,13 +217,15 @@ def test_step_merges_lanes_and_heap():
 # ---------------------------------------------------------------------------
 # level 2: whole-system scenarios, byte-identical traces
 # ---------------------------------------------------------------------------
-def run_scenario(protocol: str, engine: str, seed: int):
+def run_scenario(protocol: str, sim_class: type, seed: int):
     """A randomized mobility scenario; rng draws happen outside callbacks,
-    so both engines see an identical action script."""
+    so both schedulers see an identical action script."""
     rng = random.Random(seed)
     system = PubSubSystem(
-        grid_k=3, protocol=protocol, seed=seed, sim_engine=engine, trace="*"
+        grid_k=3, protocol=protocol, seed=seed, trace="*",
+        driver=HeapDriver() if sim_class is HeapSimulator else None,
     )
+    assert type(system.sim) is sim_class
     n = system.broker_count
     subs = []
     for _ in range(4):
@@ -250,10 +277,9 @@ def run_scenario(protocol: str, engine: str, seed: int):
 @pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "home-broker", "two-phase"])
 @pytest.mark.parametrize("seed", [3, 17])
 def test_differential_end_to_end_traces(protocol, seed):
-    systems = {
-        engine: run_scenario(protocol, engine, seed) for engine in SIM_ENGINES
-    }
-    lanes, heap = systems["lanes"], systems["heap"]
+    lanes, heap = (
+        run_scenario(protocol, sim_class, seed) for sim_class in SCHEDULERS
+    )
     # byte-identical trace (times, categories, payloads, order)
     assert lanes.tracer.format() == heap.tracer.format()
     assert lanes.tracer.records == heap.tracer.records
@@ -271,25 +297,24 @@ def test_differential_end_to_end_traces(protocol, seed):
 # level 3: full experiment harness, identical ResultRow metrics
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
-def test_differential_run_experiment_result_rows(protocol):
-    rows = {}
-    for engine in SIM_ENGINES:
-        cfg = ExperimentConfig(
-            protocol=protocol,
-            grid_k=3,
-            seed=7,
-            sim_engine=engine,
-            workload=WorkloadSpec(
-                clients_per_broker=3,
-                mobile_fraction=0.5,
-                mean_connected_s=40.0,
-                mean_disconnected_s=40.0,
-                publish_interval_s=30.0,
-                duration_s=240.0,
-            ),
-        )
-        rows[engine] = run_experiment(cfg)
-    lanes, heap = rows["lanes"], rows["heap"]
+def test_differential_run_experiment_result_rows(protocol, monkeypatch):
+    cfg = ExperimentConfig(
+        protocol=protocol,
+        grid_k=3,
+        seed=7,
+        workload=WorkloadSpec(
+            clients_per_broker=3,
+            mobile_fraction=0.5,
+            mean_connected_s=40.0,
+            mean_disconnected_s=40.0,
+            publish_interval_s=30.0,
+            duration_s=240.0,
+        ),
+    )
+    lanes = run_experiment(cfg)
+    # the same harness, building the all-oracle system instead
+    monkeypatch.setattr(runner, "build_system", build_oracle_system)
+    heap = run_experiment(cfg)
     assert lanes.as_dict() == heap.as_dict()
     assert lanes.overhead_by_category == heap.overhead_by_category
     assert lanes.sim_events == heap.sim_events

@@ -93,3 +93,36 @@ def test_send_error_propagates(loop, caplog):
         with pytest.raises(ValueError, match="bad frame"):
             session._push(FRAME)
     assert not [r for r in caplog.records if r.name == node.__name__]
+
+
+class _RecordingConnection(node.Connection):
+    """A connection that records outgoing frames instead of queueing them."""
+
+    def __init__(self) -> None:
+        self.server = node.NodeServer()
+        self.session = None
+        self.sent: list = []
+
+    async def send(self, frame: bytes) -> None:
+        self.sent.append(frame)
+
+
+def test_failed_replica_build_sends_error_and_logs_once(caplog):
+    conn = _RecordingConnection()
+    # grid_k=0 passes the literal-eval step and fails inside PubSubSystem
+    blob = repr({
+        "grid_k": 0, "protocol": "mhh", "seed": 1, "covering_enabled": None,
+        "migration_batch_size": 10, "workload": {},
+    })
+    with caplog.at_level(logging.WARNING, logger=node.__name__):
+        asyncio.run(conn._handle(("hello", "tok-0123456789", blob, (0,))))
+    assert len(conn.sent) == 1
+    payload = list(node.FrameDecoder().feed(conn.sent[0]))[0]
+    tag, message = node.decode_control(payload)
+    assert tag == "error" and "replica build failed" in message
+    assert "grid_k must be >= 1" in message
+    assert conn.server.sessions == {} and conn.session is None
+    records = [r for r in caplog.records if r.name == node.__name__]
+    assert [r.levelno for r in records] == [logging.ERROR]
+    assert records[0].exc_info is not None
+    assert "tok-0123456789" in records[0].getMessage()

@@ -44,7 +44,7 @@ def _socket_outcome(system) -> ScenarioOutcome:
     injector = system.fault_injector
     meter = system.metrics.traffic
     return ScenarioOutcome(
-        engine_bundle=("socket", "counting", True),
+        engine_bundle="socket",
         published=stats.published,
         expected=stats.expected,
         delivered=stats.delivered,
@@ -181,8 +181,8 @@ def test_harness_refuses_unsupported_layers():
 # ---------------------------------------------------------------------------
 # the kernel-untouched gate: pinned simulated-driver digests
 # ---------------------------------------------------------------------------
-#: sha256 over the full outcome tuple of Scenario.from_seed(seed) under the
-#: default engine bundle. These digests predate the wire subsystem; any
+#: sha256 over the full outcome tuple of Scenario.from_seed(seed) on the
+#: production system. These digests predate the wire subsystem; any
 #: drift means the kernel's behaviour changed, which the wire PR promises
 #: not to do.
 SIM_DIGESTS = {
